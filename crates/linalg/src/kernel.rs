@@ -28,7 +28,9 @@
 //! ascending chunk order. SIMD lanes only ever span output *columns*, never
 //! the reduction dimension. Consequently the autotuner, the path heuristic
 //! and the thread count are pure performance knobs: flipping any of them
-//! cannot change a single output bit. This is what lets the f64 training
+//! cannot change a single output bit. Segmented products
+//! ([`crate::matmul_at_segmented_into`]) run the same loop with a shorter
+//! chunk and add every chunk's sums, the first included. This is what lets the f64 training
 //! path stay bitwise-identical at every thread count while the kernel
 //! underneath is rewritten. (Results still differ across *machines* whose
 //! selected ISA differs — a non-FMA scalar fallback rounds each
@@ -222,6 +224,7 @@ fn probe_time(
             k,
             n,
             path,
+            KChunks::PLAIN,
         );
         let dt = t0.elapsed().as_secs_f64();
         // First rep is warmup (page faults, frequency ramp).
@@ -278,6 +281,43 @@ pub(crate) struct AView<'a> {
     pub data: &'a [f64],
     pub rs: usize,
     pub ks: usize,
+}
+
+/// How the shared `k` dimension is cut into independently accumulated
+/// chunks. Each chunk's FMA chain starts at zero; chunk sums reach `C` in
+/// ascending chunk order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KChunks {
+    /// Chunk length along `k` (at most [`KC`]).
+    pub len: usize,
+    /// Whether the first chunk's sums are stored instead of added to the
+    /// zeroed `C`. The two differ only in the sign of an exact zero.
+    pub store_first: bool,
+}
+
+impl KChunks {
+    /// Plain products: [`KC`]-sized chunks, the first one stored.
+    pub(crate) const PLAIN: KChunks = KChunks {
+        len: KC,
+        store_first: true,
+    };
+
+    /// Segmented products: `len`-sized segments, every one added to `C`.
+    pub(crate) fn segments(len: usize) -> KChunks {
+        assert!(
+            (1..=KC).contains(&len),
+            "segment length {len} outside 1..={KC}"
+        );
+        KChunks {
+            len,
+            store_first: false,
+        }
+    }
+
+    /// Whether the chunk starting at `k0` stores its sums.
+    fn stores(self, k0: usize) -> bool {
+        self.store_first && k0 == 0
+    }
 }
 
 /// Packs all of `B` (`k x n` row-major) into 16-column zero-padded panels,
@@ -343,14 +383,15 @@ pub(crate) fn gemm_stripe(
     k: usize,
     n: usize,
     path: GemmPath,
+    chunks: KChunks,
 ) {
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
     match (isa, path) {
-        (KernelIsa::Scalar, _) => scalar_stripe(a, b, c, row0, rows, k, n, false),
+        (KernelIsa::Scalar, _) => scalar_stripe(a, b, c, row0, rows, k, n, false, chunks),
         #[cfg(target_arch = "x86_64")]
-        (_, GemmPath::Direct) => x86::direct_stripe(isa, a, b, c, row0, rows, k, n),
+        (_, GemmPath::Direct) => x86::direct_stripe(isa, a, b, c, row0, rows, k, n, chunks),
         #[cfg(target_arch = "x86_64")]
         (_, GemmPath::Packed) => {
             let mut local;
@@ -362,10 +403,10 @@ pub(crate) fn gemm_stripe(
                     &local[..]
                 }
             };
-            x86::packed_stripe(isa, tun, a, pb, c, row0, rows, k, n);
+            x86::packed_stripe(isa, tun, a, pb, c, row0, rows, k, n, chunks);
         }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar_stripe(a, b, c, row0, rows, k, n, false),
+        _ => scalar_stripe(a, b, c, row0, rows, k, n, false, chunks),
     }
 }
 
@@ -382,17 +423,19 @@ fn gemm_serial(
     k: usize,
     n: usize,
     path: GemmPath,
+    chunks: KChunks,
 ) {
     c.fill(0.0);
-    gemm_stripe(isa, tun, a, b, None, c, row0, rows, k, n, path);
+    gemm_stripe(isa, tun, a, b, None, c, row0, rows, k, n, path, chunks);
 }
 
 /// Blocked scalar kernel; also the *reference semantics* for every SIMD
-/// path when `fma` is true: per element, `KC`-chunk sums accumulated with
-/// `mul_add` in ascending `k`; the first chunk's sum is *stored* to `C`
-/// (the caller zeroed it, so a load-add would only waste bandwidth — this
-/// matters for small `k`, where the epilogue rivals the FMA work), later
-/// chunks added in ascending order.
+/// path when `fma` is true: per element, chunk sums (`chunks.len` long,
+/// [`KC`] for plain products) accumulated with `mul_add` in ascending `k`;
+/// for plain products the first chunk's sum is *stored* to `C` (the caller
+/// zeroed it, so a load-add would only waste bandwidth — this matters for
+/// small `k`, where the epilogue rivals the FMA work), later chunks added
+/// in ascending order. Segmented products add every chunk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scalar_stripe(
     a: AView<'_>,
@@ -403,11 +446,12 @@ pub(crate) fn scalar_stripe(
     k: usize,
     n: usize,
     fma: bool,
+    chunks: KChunks,
 ) {
     const JT: usize = 8;
     let mut k0 = 0;
     while k0 < k {
-        let kc = KC.min(k - k0);
+        let kc = chunks.len.min(k - k0);
         for r in 0..rows {
             let cr = &mut c[r * n..(r + 1) * n];
             let mut jr = 0;
@@ -427,7 +471,7 @@ pub(crate) fn scalar_stripe(
                         }
                     }
                 }
-                if k0 == 0 {
+                if chunks.stores(k0) {
                     for j in 0..w {
                         cr[jr + j] = acc[j];
                     }
@@ -439,18 +483,18 @@ pub(crate) fn scalar_stripe(
                 jr += JT;
             }
         }
-        k0 += KC;
+        k0 += chunks.len;
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{AView, KernelIsa, KernelTuning, KC, MR, NR};
+    use super::{AView, KChunks, KernelIsa, KernelTuning, KC, MR, NR};
     use std::arch::x86_64::*;
 
     /// Direct path: stream `B` rows in place, masked loads at the column
-    /// edge, one `C` write per `KC` chunk (the first chunk stores, later
-    /// chunks load-add).
+    /// edge, one `C` write per k-chunk (for plain products the first chunk
+    /// stores, later chunks load-add).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn direct_stripe(
         isa: KernelIsa,
@@ -461,54 +505,74 @@ mod x86 {
         rows: usize,
         k: usize,
         n: usize,
+        chunks: KChunks,
     ) {
         // Per-row-tile A staging: element `(kk, i)` of the current tile at
         // `kk * MRK + i`. One base pointer with constant displacements in
         // the micro-kernel, instead of `MRK` live row pointers that would
         // spill out of the integer register file.
         let mut apk = [0.0f64; MR * KC];
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
+        // Runs one row group (as many rows as the widest tile that fits)
+        // over one k-chunk and returns the group's height.
+        let mut group = |ir: usize, k0: usize| -> usize {
+            let rem = rows - ir;
+            let kc = chunks.len.min(k - k0);
+            let store = chunks.stores(k0);
+            let c = &mut *c;
+            let apk = &mut apk;
+            macro_rules! tile {
+                ($f:ident, $mrk:literal) => {{
+                    $f::<$mrk>(a, b, c, apk, row0, ir, k0, kc, n, store);
+                    $mrk
+                }};
+            }
+            match isa {
+                // SAFETY: `isa` is only Avx512/Avx2 when the CPU reported
+                // the matching features at dispatch time.
+                KernelIsa::Avx512 => unsafe {
+                    match rem {
+                        8.. => tile!(direct_cols_512, 8),
+                        4..=7 => tile!(direct_cols_512, 4),
+                        2..=3 => tile!(direct_cols_512, 2),
+                        _ => tile!(direct_cols_512, 1),
+                    }
+                },
+                KernelIsa::Avx2 => unsafe {
+                    match rem {
+                        4.. => tile!(direct_cols_256, 4),
+                        2..=3 => tile!(direct_cols_256, 2),
+                        _ => tile!(direct_cols_256, 1),
+                    }
+                },
+                KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
+            }
+        };
+        if chunks.store_first {
+            // Plain products walk KC chunks outermost, so one chunk of B
+            // stays cache-hot across every row group.
+            let mut k0 = 0;
+            while k0 < k {
+                let mut ir = 0;
+                while ir < rows {
+                    ir += group(ir, k0);
+                }
+                k0 += chunks.len;
+            }
+        } else {
+            // Segmented products revisit C once per short segment, so they
+            // walk segments innermost: a row group's C rows stay in L1
+            // while every segment adds into them. Per element the order of
+            // operations is the same as the other nesting.
             let mut ir = 0;
             while ir < rows {
-                let rem = rows - ir;
-                match isa {
-                    // SAFETY: `isa` is only Avx512/Avx2 when the CPU
-                    // reported the matching features at dispatch time.
-                    KernelIsa::Avx512 => unsafe {
-                        let take = if rem >= 8 {
-                            direct_cols_512::<8>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            8
-                        } else if rem >= 4 {
-                            direct_cols_512::<4>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            4
-                        } else if rem >= 2 {
-                            direct_cols_512::<2>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            2
-                        } else {
-                            direct_cols_512::<1>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            1
-                        };
-                        ir += take;
-                    },
-                    KernelIsa::Avx2 => unsafe {
-                        let take = if rem >= 4 {
-                            direct_cols_256::<4>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            4
-                        } else if rem >= 2 {
-                            direct_cols_256::<2>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            2
-                        } else {
-                            direct_cols_256::<1>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            1
-                        };
-                        ir += take;
-                    },
-                    KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
+                let mut height = 0;
+                let mut k0 = 0;
+                while k0 < k {
+                    height = group(ir, k0);
+                    k0 += chunks.len;
                 }
+                ir += height;
             }
-            k0 += KC;
         }
     }
 
@@ -527,6 +591,7 @@ mod x86 {
         k0: usize,
         kc: usize,
         n: usize,
+        store: bool,
     ) {
         let ad = a.data.as_ptr();
         // First C row of this tile; the micro-kernel walks rows by `n`.
@@ -556,7 +621,7 @@ mod x86 {
                     ctile.add(jr),
                     0xff,
                     0xff,
-                    k0 == 0,
+                    store,
                 )
             };
             jr += NR;
@@ -582,7 +647,7 @@ mod x86 {
                     ctile.wrapping_add(jr),
                     m0,
                     m1,
-                    k0 == 0,
+                    store,
                 )
             };
         }
@@ -610,6 +675,7 @@ mod x86 {
         k0: usize,
         kc: usize,
         n: usize,
+        store: bool,
     ) {
         let ad = a.data.as_ptr();
         let ctile = unsafe { c.as_mut_ptr().add(ir * n) };
@@ -633,7 +699,7 @@ mod x86 {
                     ctile.add(jr),
                     fullm,
                     fullm,
-                    k0 == 0,
+                    store,
                 )
             };
             jr += 8;
@@ -653,7 +719,7 @@ mod x86 {
                     ctile.wrapping_add(jr),
                     m0,
                     m1,
-                    k0 == 0,
+                    store,
                 )
             };
         }
@@ -841,6 +907,7 @@ mod x86 {
         rows: usize,
         k: usize,
         n: usize,
+        chunks: KChunks,
     ) {
         let mc_b = tun.mc.max(MR);
         let nc_b = (tun.nc.max(NR) / NR) * NR;
@@ -854,7 +921,7 @@ mod x86 {
                 let mc = mc_b.min(rows - ic);
                 let mut k0 = 0;
                 while k0 < k {
-                    let kc = KC.min(k - k0);
+                    let kc = chunks.len.min(k - k0);
                     super::pack_a(a, row0 + ic, mc, k0, kc, &mut apbuf);
                     let jp_end = (jc + ncb).div_ceil(NR);
                     for jp in jc / NR..jp_end {
@@ -886,7 +953,7 @@ mod x86 {
                             for i in 0..mr {
                                 let co = (ic + ir + i) * n + jcol;
                                 let crow = &mut c[co..co + nr];
-                                if k0 == 0 {
+                                if chunks.stores(k0) {
                                     // First KC chunk stores (C is zeroed);
                                     // matches the reference semantics.
                                     for (j, slot) in crow.iter_mut().enumerate() {
@@ -901,7 +968,7 @@ mod x86 {
                             ir += MR;
                         }
                     }
-                    k0 += KC;
+                    k0 += chunks.len;
                 }
                 ic += mc_b;
             }
@@ -984,6 +1051,7 @@ pub mod testing {
             k,
             n,
             path,
+            KChunks::PLAIN,
         );
         c
     }
@@ -1012,6 +1080,7 @@ pub mod testing {
             k,
             n,
             fma,
+            KChunks::PLAIN,
         );
         c
     }
@@ -1042,6 +1111,7 @@ pub mod testing {
             k,
             n,
             path,
+            KChunks::PLAIN,
         );
         c
     }
@@ -1069,7 +1139,65 @@ pub mod testing {
             k,
             n,
             fma,
+            KChunks::PLAIN,
         );
+        c
+    }
+
+    /// Segmented transposed-A product (`seg`-row k-segments, every segment
+    /// sum added to the zeroed `C` in order) over a forced path.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_at_segmented_forced(
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        m: usize,
+        n: usize,
+        seg: usize,
+        path: GemmPath,
+    ) -> Vec<f64> {
+        let mut c = vec![0.0; m * n];
+        let tun = KernelTuning::default();
+        let view = AView {
+            data: a,
+            rs: 1,
+            ks: m,
+        };
+        let chunks = KChunks::segments(seg);
+        gemm_serial(
+            kernel_isa(),
+            &tun,
+            view,
+            b,
+            &mut c,
+            0,
+            m,
+            k,
+            n,
+            path,
+            chunks,
+        );
+        c
+    }
+
+    /// Segmented transposed-A product on the portable scalar stripe
+    /// (`fma: false` is the path a CPU without FMA runs).
+    pub fn gemm_at_segmented_scalar(
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        m: usize,
+        n: usize,
+        seg: usize,
+        fma: bool,
+    ) -> Vec<f64> {
+        let mut c = vec![0.0; m * n];
+        let view = AView {
+            data: a,
+            rs: 1,
+            ks: m,
+        };
+        scalar_stripe(view, b, &mut c, 0, m, k, n, fma, KChunks::segments(seg));
         c
     }
 }

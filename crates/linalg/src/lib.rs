@@ -7,7 +7,7 @@
 //! micro-kernel ([`kernel`]) with one-shot runtime ISA dispatch
 //! (AVX-512 / AVX2+FMA / portable scalar), packed cache-friendly panels for
 //! large operands, a direct streaming path for small ones, and row-stripe
-//! parallelism over crossbeam scoped threads — while keeping results
+//! parallelism over std scoped threads — while keeping results
 //! bitwise identical at every thread count. A packed int8 GEMM ([`qgemm`])
 //! backs the quantized inference fast path in the serving stack.
 //!
@@ -39,8 +39,8 @@ mod vector;
 pub use error::LinalgError;
 pub use kernel::{kernel_isa, kernel_tuning, KernelIsa, KernelTuning};
 pub use matmul::{
-    default_threads, matmul, matmul_at_into, matmul_into, matmul_threaded, matvec, MatmulOptions,
-    MIN_FLOPS_PER_THREAD,
+    default_threads, matmul, matmul_at_into, matmul_at_segmented_into, matmul_into,
+    matmul_threaded, matvec, MatmulOptions, MIN_FLOPS_PER_THREAD,
 };
 pub use matrix::Matrix;
 pub use qgemm::{gemm_i8, QuantizedGemmB};

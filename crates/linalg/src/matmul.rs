@@ -8,7 +8,7 @@
 //! order (see the kernel module's determinism notes) — so results are
 //! bitwise identical at any thread count, on either compute path.
 
-use crate::kernel::{self, choose_path, AView, GemmPath};
+use crate::kernel::{self, choose_path, AView, GemmPath, KChunks};
 use crate::{dot, LinalgError, Matrix, Result, ThreadBudget};
 use std::cell::RefCell;
 
@@ -117,7 +117,16 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix, opts: MatmulOptions) 
         rs: k,
         ks: 1,
     };
-    run_gemm(view, b.as_slice(), c.as_mut_slice(), m, k, n, opts);
+    run_gemm(
+        view,
+        b.as_slice(),
+        c.as_mut_slice(),
+        m,
+        k,
+        n,
+        opts,
+        KChunks::PLAIN,
+    );
     Ok(())
 }
 
@@ -133,6 +142,37 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix, opts: MatmulOptions) 
 /// fixed order regardless of how output rows are partitioned across
 /// threads, so results are bitwise identical at any thread count.
 pub fn matmul_at_into(a: &Matrix, b: &Matrix, c: &mut Matrix, opts: MatmulOptions) -> Result<()> {
+    at_product(a, b, c, opts, KChunks::PLAIN)
+}
+
+/// `C = Aᵀ * B` accumulated in k-segments of `segment` rows, writing into
+/// a preallocated output.
+///
+/// Shapes are those of [`matmul_at_into`]. Every segment's FMA chain
+/// starts at zero and the segment sums are added to the zeroed `C` in
+/// ascending segment order, so the result is bit for bit the same as
+/// running [`matmul_at_into`] on each `segment`-row slice of `A` and `B`
+/// and adding the partial products in order. That is the reduction order
+/// of a mini-batch gradient `dW = Xᵀ · dZ` summed chunk by chunk, which
+/// lets a trainer run one product per layer over the whole batch without
+/// changing a bit of the gradient. `segment` must be in `1..=KC`.
+pub fn matmul_at_segmented_into(
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+    segment: usize,
+    opts: MatmulOptions,
+) -> Result<()> {
+    at_product(a, b, c, opts, KChunks::segments(segment))
+}
+
+fn at_product(
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+    opts: MatmulOptions,
+    chunks: KChunks,
+) -> Result<()> {
     if a.rows() != b.rows() {
         return Err(LinalgError::ShapeMismatch {
             op: "matmul_at",
@@ -155,17 +195,18 @@ pub fn matmul_at_into(a: &Matrix, b: &Matrix, c: &mut Matrix, opts: MatmulOption
         rs: 1,
         ks: m,
     };
-    run_gemm(view, b.as_slice(), c.as_mut_slice(), m, k, n, opts);
+    run_gemm(view, b.as_slice(), c.as_mut_slice(), m, k, n, opts, chunks);
     Ok(())
 }
 
 thread_local! {
     /// Reused buffer for the packed-path copy of `B`, so steady-state
-    /// sequential callers (the trainer's per-chunk products, serve workers)
+    /// sequential callers (the trainer's per-layer products, serve workers)
     /// stop allocating once warm.
     static PACKED_B_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_gemm(
     a: AView<'_>,
     b: &[f64],
@@ -174,6 +215,7 @@ fn run_gemm(
     k: usize,
     n: usize,
     opts: MatmulOptions,
+    chunks: KChunks,
 ) {
     c.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
@@ -183,7 +225,9 @@ fn run_gemm(
     let path = choose_path(isa, m, k, n);
     let threads = effective_threads(opts.threads, m, k, n, opts.min_flops_per_thread);
     let use_parallel = threads > 1 && m * n >= opts.parallel_threshold && m > 1;
-    let tun = if path == GemmPath::Packed || use_parallel {
+    // Only the packed path reads the block sizes; the direct path must not
+    // pay for the one-shot autotuner.
+    let tun = if path == GemmPath::Packed {
         kernel::kernel_tuning()
     } else {
         Default::default()
@@ -199,29 +243,34 @@ fn run_gemm(
         };
 
         if !use_parallel {
-            kernel::gemm_stripe(isa, &tun, a, b, packed_b, c, 0, m, k, n, path);
+            kernel::gemm_stripe(isa, &tun, a, b, packed_b, c, 0, m, k, n, path, chunks);
             return;
         }
 
         // Partition output rows into one contiguous stripe per thread,
         // rounded to the micro-tile height so tiles never straddle a
         // stripe boundary. Stripes are disjoint `&mut` slices, so no
-        // synchronization is needed.
+        // synchronization is needed. The calling thread computes the last
+        // stripe itself, saving one spawn per product.
         let rows_per_thread = m.div_ceil(threads).div_ceil(kernel::MR) * kernel::MR;
-        let stripes: Vec<&mut [f64]> = c.chunks_mut(rows_per_thread * n).collect();
-        crossbeam::thread::scope(|scope| {
-            for (t, stripe) in stripes.into_iter().enumerate() {
-                let row0 = t * rows_per_thread;
-                let rows_here = stripe.len() / n;
-                let tun = &tun;
-                scope.spawn(move |_| {
-                    kernel::gemm_stripe(
-                        isa, tun, a, b, packed_b, stripe, row0, rows_here, k, n, path,
-                    );
-                });
+        let tun = &tun;
+        let run = move |t: usize, stripe: &mut [f64]| {
+            let row0 = t * rows_per_thread;
+            let rows_here = stripe.len() / n;
+            kernel::gemm_stripe(
+                isa, tun, a, b, packed_b, stripe, row0, rows_here, k, n, path, chunks,
+            );
+        };
+        let mut stripes = c.chunks_mut(rows_per_thread * n).enumerate();
+        let last = stripes.next_back();
+        std::thread::scope(|scope| {
+            for (t, stripe) in stripes {
+                scope.spawn(move || run(t, stripe));
             }
-        })
-        .expect("matmul worker panicked");
+            if let Some((t, stripe)) = last {
+                run(t, stripe);
+            }
+        });
     });
 }
 
@@ -444,6 +493,15 @@ mod tests {
         let mut wrong = Matrix::zeros(2, 2);
         assert!(matmul_at_into(&a, &b, &mut wrong, MatmulOptions::default()).is_err());
         assert!(matmul_at_into(&a, &b, &mut c, MatmulOptions::default()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "segment length")]
+    fn segmented_matmul_at_rejects_oversized_segments() {
+        let a = Matrix::zeros(4, 3);
+        let b = Matrix::zeros(4, 2);
+        let mut c = Matrix::zeros(3, 2);
+        let _ = matmul_at_segmented_into(&a, &b, &mut c, kernel::KC + 1, MatmulOptions::default());
     }
 
     #[test]

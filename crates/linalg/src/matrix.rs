@@ -199,11 +199,8 @@ impl Matrix {
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
+        self.transpose_into(&mut out)
+            .expect("output shape is the transposed shape");
         out
     }
 
@@ -219,10 +216,22 @@ impl Matrix {
                 rhs: (self.cols, self.rows),
             });
         }
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (c, &v) in src.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        // Cache-blocked: a naive row walk writes `out` with a stride of
+        // `rows` doubles, touching a new cache line per element. Square
+        // tiles keep both the source rows and the destination rows of a
+        // tile resident, so each line is loaded once per tile.
+        const TILE: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for c0 in (0..cols).step_by(TILE) {
+                let c1 = (c0 + TILE).min(cols);
+                for r in r0..r1 {
+                    let src = &self.data[r * cols + c0..r * cols + c1];
+                    for (c, &v) in (c0..c1).zip(src) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
         Ok(())
@@ -473,6 +482,28 @@ mod tests {
         let m = Matrix::from_fn(3, 5, |r, c| (r * 10 + c) as f64);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose()[(4, 2)], m[(2, 4)]);
+    }
+
+    #[test]
+    fn blocked_transpose_matches_naive_on_odd_shapes() {
+        for &(rows, cols) in &[
+            (1, 1),
+            (1, 37),
+            (37, 1),
+            (31, 33),
+            (33, 65),
+            (70, 129),
+            (256, 11),
+        ] {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * 1000 + c) as f64 - 0.5);
+            let mut out = Matrix::filled(cols, rows, f64::NAN);
+            m.transpose_into(&mut out).unwrap();
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(out[(c, r)].to_bits(), m[(r, c)].to_bits(), "{rows}x{cols}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use nrpm_linalg::{
-    dot, gemm_i8, kernel, kernel_isa, lstsq, matmul, matmul_threaded, stats, MatmulOptions, Matrix,
-    QuantizedGemmB,
+    dot, gemm_i8, kernel, kernel_isa, lstsq, matmul, matmul_at_into, matmul_at_segmented_into,
+    matmul_threaded, stats, MatmulOptions, Matrix, QuantizedGemmB,
 };
 use proptest::prelude::*;
 
@@ -125,6 +125,77 @@ proptest! {
         let reference = kernel::testing::gemm_reference(&a, &b, m, k, n, kernel_isa().uses_fma());
         prop_assert_eq!(&direct, &packed, "direct vs packed at {}x{}x{}", m, k, n);
         prop_assert_eq!(&direct, &reference, "kernel vs reference at {}x{}x{}", m, k, n);
+    }
+
+    #[test]
+    fn segmented_matmul_at_equals_ordered_segment_sums(
+        k in 1usize..120,
+        m in 1usize..40,
+        n in 1usize..40,
+        seg_pick in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        // A segmented `C = AᵀB` must be bit for bit the per-segment
+        // products added to a zeroed C in ascending order — the
+        // chunk-then-reduce order of a mini-batch gradient — on every
+        // kernel path and at every thread count.
+        let seg = [1usize, 5, 16, 33, 256][seg_pick];
+        let mut s = seed | 1;
+        let mut gen = || {
+            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+            (s % 1000) as f64 / 500.0 - 1.0
+        };
+        let a: Vec<f64> = (0..k * m).map(|_| gen()).collect();
+        let b: Vec<f64> = (0..k * n).map(|_| gen()).collect();
+        let fma = kernel_isa().uses_fma();
+        let segments = || (0..k).step_by(seg).map(|k0| (k0, seg.min(k - k0)));
+
+        let mut want_kernel = vec![0.0; m * n];
+        let mut want_scalar = vec![0.0; m * n];
+        for (k0, kc) in segments() {
+            let a_seg = &a[k0 * m..(k0 + kc) * m];
+            let b_seg = &b[k0 * n..(k0 + kc) * n];
+            let part = kernel::testing::gemm_at_reference(a_seg, b_seg, kc, m, n, fma);
+            for (w, p) in want_kernel.iter_mut().zip(&part) {
+                *w += p;
+            }
+            let part = kernel::testing::gemm_at_reference(a_seg, b_seg, kc, m, n, false);
+            for (w, p) in want_scalar.iter_mut().zip(&part) {
+                *w += p;
+            }
+        }
+        for path in [kernel::GemmPath::Direct, kernel::GemmPath::Packed] {
+            let got = kernel::testing::gemm_at_segmented_forced(&a, &b, k, m, n, seg, path);
+            prop_assert_eq!(&got, &want_kernel, "{:?} k={} m={} n={} seg={}", path, k, m, n, seg);
+        }
+        let got = kernel::testing::gemm_at_segmented_scalar(&a, &b, k, m, n, seg, false);
+        prop_assert_eq!(&got, &want_scalar, "scalar k={} m={} n={} seg={}", k, m, n, seg);
+
+        // The public entry point at 1–4 threads against per-segment
+        // `matmul_at_into` calls plus an ordered add.
+        let am = Matrix::from_vec(k, m, a.clone());
+        let bm = Matrix::from_vec(k, n, b.clone());
+        let mut want = Matrix::zeros(m, n);
+        let mut part = Matrix::zeros(m, n);
+        for (k0, kc) in segments() {
+            matmul_at_into(
+                &am.block(k0, 0, kc, m),
+                &bm.block(k0, 0, kc, n),
+                &mut part,
+                MatmulOptions { threads: 1, ..Default::default() },
+            ).unwrap();
+            want.add_assign(&part).unwrap();
+        }
+        for threads in 1..=4 {
+            let mut got = Matrix::filled(m, n, f64::NAN);
+            matmul_at_segmented_into(&am, &bm, &mut got, seg, MatmulOptions {
+                threads,
+                parallel_threshold: 1,
+                min_flops_per_thread: 1,
+                ..Default::default()
+            }).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice(), "threads = {}", threads);
+        }
     }
 
     #[test]

@@ -63,6 +63,13 @@ impl Dataset {
         &self.inputs
     }
 
+    /// Mutable inputs, bypassing the finiteness check of [`Self::new`];
+    /// tests use it to corrupt a row.
+    #[cfg(test)]
+    pub(crate) fn inputs_mut(&mut self) -> &mut Matrix {
+        &mut self.inputs
+    }
+
     /// The labels.
     pub fn labels(&self) -> &[usize] {
         &self.labels

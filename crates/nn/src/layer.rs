@@ -1,6 +1,6 @@
 //! Dense (fully connected) layers with batched forward and backward passes.
 
-use crate::activation::Activation;
+use crate::activation::{activate_in_place, Activation};
 use nrpm_linalg::{matmul, matmul_into, MatmulOptions, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -84,9 +84,10 @@ impl DenseLayer {
         let out = self.out_dim();
         for row in z.as_mut_slice().chunks_mut(out) {
             for (v, b) in row.iter_mut().zip(self.biases.iter()) {
-                *v = self.activation.apply(*v + b);
+                *v += b;
             }
         }
+        activate_in_place(self.activation, z.as_mut_slice());
     }
 
     /// Backward pass.

@@ -1,12 +1,11 @@
 //! Mini-batch training with softmax + cross-entropy.
 //!
-//! The gradient of a mini-batch is embarrassingly data-parallel: the batch
-//! is cut into fixed-size row chunks (see [`crate::arena`]), each worker
-//! runs forward + backward on its chunks inside a preallocated arena, and
-//! the per-chunk sum-gradients are reduced in canonical chunk order before
-//! the optimizer step. Because the chunk boundaries and the reduction order
-//! never depend on the worker count, training is **bitwise identical** at
-//! any thread count for a fixed seed — the thread knob only changes speed.
+//! The gradient of a mini-batch runs layer by layer over the whole batch
+//! in preallocated buffers (see [`crate::arena`]); its sums over rows run
+//! in fixed-size segments combined in canonical order before the optimizer
+//! step. Because the segment boundaries and that order never depend on the
+//! thread count, training is **bitwise identical** at any thread count for
+//! a fixed seed — the thread knob only changes speed.
 
 use crate::activation::softmax_rows;
 use crate::arena::TrainScratch;
@@ -89,7 +88,7 @@ impl Network {
         assert!(opts.batch_size > 0, "batch size must be positive");
 
         let threads = ThreadBudget::resolve(opts.threads);
-        let mut scratch = TrainScratch::new(self, opts.batch_size, threads);
+        let mut scratch = TrainScratch::new(self, threads);
         let mut optimizer = Optimizer::new(opts.optimizer, self.layers().len() * 2);
         let mut rng = StdRng::seed_from_u64(opts.shuffle_seed);
         let mut epoch_losses = Vec::with_capacity(opts.epochs);
@@ -310,7 +309,7 @@ mod tests {
 
     /// The determinism guarantee of the pooled trainer: the same seed
     /// produces **bitwise identical** final weights and losses at every
-    /// worker-thread count, because the chunk boundaries and the gradient
+    /// worker-thread count, because the segment boundaries and the gradient
     /// reduction order never depend on the thread count.
     #[test]
     fn training_is_bitwise_identical_at_every_thread_count() {

@@ -142,9 +142,9 @@ impl Network {
     /// Errors are reserved for structural problems (incompatible dataset,
     /// checkpoint I/O failures).
     ///
-    /// The guarded loop runs on the same pooled, chunk-parallel gradient
-    /// engine as [`Network::train`]: the full-batch gradient is reduced in
-    /// canonical chunk order, inspected, optionally clipped, and only then
+    /// The guarded loop runs on the same layer-major gradient engine as
+    /// [`Network::train`]: the batch gradient is computed in canonical
+    /// segment order, inspected, optionally clipped, and only then
     /// applied. [`TrainerOptions::threads`] is honored (`0` resolves to the
     /// process-wide thread budget) and does not change the numerics.
     pub fn train_guarded(
@@ -157,7 +157,7 @@ impl Network {
         assert!(opts.batch_size > 0, "batch size must be positive");
 
         let threads = ThreadBudget::resolve(opts.threads);
-        let mut scratch = TrainScratch::new(self, opts.batch_size, threads);
+        let mut scratch = TrainScratch::new(self, threads);
         let mut snapshot = self.clone();
         let mut optimizer = Optimizer::new(opts.optimizer, self.layers().len() * 2);
         let mut rng = StdRng::seed_from_u64(opts.shuffle_seed);
@@ -379,6 +379,38 @@ mod tests {
         assert_eq!(report.faults.len(), 3, "one fault per attempt");
         // The network rolled back to the only good snapshot: initialization.
         assert_eq!(net, init);
+    }
+
+    /// A NaN inside an input row must surface as a fault, not be absorbed
+    /// by an activation, and the step must roll back. `Dataset::new`
+    /// refuses non-finite inputs, so the row is poisoned after
+    /// construction — the state a corrupted buffer would leave behind.
+    #[test]
+    fn nan_in_an_input_row_is_caught_and_rolled_back() {
+        let mut data = blobs(20, 5);
+        data.inputs_mut()[(13, 1)] = f64::NAN;
+        // One batch per epoch: every attempt meets the poisoned row in its
+        // first step, so no step ever lands.
+        let opts = TrainerOptions {
+            epochs: 3,
+            batch_size: 40,
+            ..Default::default()
+        };
+        let guard = WatchdogOptions {
+            max_retries: 2,
+            ..Default::default()
+        };
+        let init = Network::new(&NetworkConfig::new(&[2, 6, 2]), 4);
+        let mut net = init.clone();
+        let report = net.train_guarded(&data, &opts, &guard).unwrap();
+        assert_eq!(report.faults.len(), 3, "{:?}", report.faults);
+        assert!(report.faults.iter().all(|f| matches!(
+            f.kind,
+            FaultDetected::NonFiniteLoss | FaultDetected::NonFiniteGradient
+        )));
+        assert!(report.gave_up);
+        assert_eq!(report.report.steps, 0);
+        assert_eq!(net, init, "the poisoned steps must all roll back");
     }
 
     #[test]

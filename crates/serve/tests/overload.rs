@@ -181,11 +181,21 @@ fn expired_deadline_behind_slow_work_never_reaches_the_modeler() {
             .model(clean_linear_set(), None, Some(10_000))
             .unwrap()
     });
-    thread::sleep(Duration::from_millis(40));
+
+    // Wait until the server has taken the slow request (it goes straight
+    // to the idle worker), then send the next one on an already accepted
+    // connection. Both connections can be accepted in one pass of the
+    // accept loop, so without this the short request could reach the idle
+    // worker first.
+    let mut client = Client::connect(addr, Duration::from_secs(30)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while get_u64(&client.stats().unwrap(), "requests_model") == 0 {
+        assert!(Instant::now() < deadline, "the slow request never arrived");
+        thread::sleep(Duration::from_millis(2));
+    }
 
     // This one queues behind it and expires after 1ms — long before the
     // worker frees up.
-    let mut client = Client::connect(addr, Duration::from_secs(30)).unwrap();
     let response = client.model(clean_linear_set(), None, Some(1)).unwrap();
     assert_eq!(kind_of(&response), Some("timeout"), "{response:?}");
 

@@ -28,6 +28,15 @@ impl Aggregation {
             Aggregation::Minimum => stats::min(values),
         }
     }
+
+    /// [`Self::apply`] that may reorder `values`: the median sorts them in
+    /// place instead of sorting a copy. Same result, bit for bit.
+    pub fn apply_in_place(&self, values: &mut Vec<f64>) -> f64 {
+        match self {
+            Aggregation::Median => stats::median_in_place(values),
+            _ => self.apply(values),
+        }
+    }
 }
 
 /// Symmetric mean absolute percentage error, in percent.
@@ -70,17 +79,33 @@ pub fn smape(actual: &[f64], predicted: &[f64]) -> f64 {
 /// indistinguishable selection signal at a fraction of the cost.
 pub const MAX_CV_FOLDS: usize = 40;
 
+/// The indices held out by cross-validation over `n` points, in order:
+/// every point up to [`MAX_CV_FOLDS`], beyond that [`MAX_CV_FOLDS`]
+/// evenly spaced ones including the first and the last.
+pub(crate) fn cv_holds(n: usize) -> impl Iterator<Item = usize> {
+    let folds = n.min(MAX_CV_FOLDS);
+    (0..folds).map(move |k| {
+        if n <= MAX_CV_FOLDS {
+            k
+        } else {
+            k * (n - 1) / (MAX_CV_FOLDS - 1)
+        }
+    })
+}
+
 /// Leave-one-out cross-validation SMAPE of a fit procedure.
 ///
 /// `fit` receives the training subset (all points except the held-out one)
 /// and must return a predictor; the predictor is evaluated on the held-out
 /// point. Points where fitting fails are skipped; if every fold fails,
 /// `None` is returned. Beyond [`MAX_CV_FOLDS`] points, an evenly spaced
-/// subset of holds is used.
+/// subset of holds is used ([`cv_holds`]).
 ///
-/// This is the model-selection workhorse shared by the regression and DNN
+/// This is the model-selection criterion shared by the regression and DNN
 /// modelers ("we identify the model that fits the data best using
-/// cross-validation and the SMAPE metric").
+/// cross-validation and the SMAPE metric"). Hypothesis fitting runs the
+/// same folds on one prebuilt least-squares system instead of calling a
+/// fit procedure per fold.
 pub fn cross_validation_smape<F>(points: &[(Vec<f64>, f64)], mut fit: F) -> Option<f64>
 where
     F: FnMut(&[(Vec<f64>, f64)]) -> Option<Box<dyn Fn(&[f64]) -> f64>>,
@@ -89,17 +114,10 @@ where
         return None;
     }
     let n = points.len();
-    let holds: Vec<usize> = if n <= MAX_CV_FOLDS {
-        (0..n).collect()
-    } else {
-        (0..MAX_CV_FOLDS)
-            .map(|k| k * (n - 1) / (MAX_CV_FOLDS - 1))
-            .collect()
-    };
-    let mut actual = Vec::with_capacity(holds.len());
-    let mut predicted = Vec::with_capacity(holds.len());
+    let mut actual = Vec::new();
+    let mut predicted = Vec::new();
     let mut train: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n - 1);
-    for &hold in &holds {
+    for hold in cv_holds(n) {
         train.clear();
         train.extend(
             points
@@ -166,6 +184,28 @@ mod tests {
         assert_eq!(Aggregation::Mean.apply(&vals), 2.0);
         assert_eq!(Aggregation::Minimum.apply(&vals), 1.0);
         assert_eq!(Aggregation::default(), Aggregation::Median);
+        for agg in [Aggregation::Median, Aggregation::Mean, Aggregation::Minimum] {
+            for vals in [vec![3.0, f64::NAN, 1.0, 2.0, -0.0], vec![4.0, 1.5]] {
+                let mut buf = vals.clone();
+                assert_eq!(
+                    agg.apply_in_place(&mut buf).to_bits(),
+                    agg.apply(&vals).to_bits(),
+                    "{agg:?} {vals:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cv_holds_are_leave_one_out_up_to_the_fold_cap() {
+        assert_eq!(cv_holds(5).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert!(cv_holds(MAX_CV_FOLDS).eq(0..MAX_CV_FOLDS));
+        for n in [MAX_CV_FOLDS + 1, 125] {
+            let holds: Vec<usize> = cv_holds(n).collect();
+            assert_eq!(holds.len(), MAX_CV_FOLDS);
+            assert_eq!((holds[0], holds[MAX_CV_FOLDS - 1]), (0, n - 1));
+            assert!(holds.windows(2).all(|w| w[0] < w[1]), "n = {n}");
+        }
     }
 
     #[test]

@@ -1310,7 +1310,7 @@ mod tests {
     fn tuning_is_sane() {
         let t = kernel_tuning();
         assert!(t.mc >= MR);
-        assert!(t.nc >= NR && t.nc % NR == 0);
+        assert!(t.nc >= NR && t.nc.is_multiple_of(NR));
         assert!(t.direct_limit > SMALL_B_ELEMS);
         assert!(t.direct_min_m >= 1);
     }

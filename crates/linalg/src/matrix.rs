@@ -219,8 +219,12 @@ impl Matrix {
         // Cache-blocked: a naive row walk writes `out` with a stride of
         // `rows` doubles, touching a new cache line per element. Square
         // tiles keep both the source rows and the destination rows of a
-        // tile resident, so each line is loaded once per tile.
-        const TILE: usize = 32;
+        // tile resident, so each line is loaded once per tile. The tile is
+        // small because the destination rows of a tile lie `rows` doubles
+        // apart: for a power-of-two `rows` they share a handful of L1 sets
+        // (256 rows: 2 KiB apart, 2 sets of a 48 KiB 12-way cache), and
+        // 32 of them evict each other before the tile is done; 8 fit.
+        const TILE: usize = 8;
         let (rows, cols) = (self.rows, self.cols);
         for r0 in (0..rows).step_by(TILE) {
             let r1 = (r0 + TILE).min(rows);
@@ -485,15 +489,21 @@ mod tests {
     }
 
     #[test]
-    fn blocked_transpose_matches_naive_on_odd_shapes() {
+    fn blocked_transpose_matches_naive() {
+        // Ragged tiles, and the compact network's weight shapes, whose
+        // transposes have rows a power of two apart.
         for &(rows, cols) in &[
             (1, 1),
             (1, 37),
             (37, 1),
+            (7, 9),
             (31, 33),
             (33, 65),
             (70, 129),
             (256, 11),
+            (64, 43),
+            (128, 64),
+            (256, 128),
         ] {
             let m = Matrix::from_fn(rows, cols, |r, c| (r * 1000 + c) as f64 - 0.5);
             let mut out = Matrix::filled(cols, rows, f64::NAN);

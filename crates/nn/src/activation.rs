@@ -56,14 +56,27 @@ impl Activation {
     }
 }
 
-/// Applies the activation in place to every element of `values`. Tanh
-/// runs the vectorized kernel ([`tanh_in_place`]); the result is bitwise
-/// identical to [`Activation::apply`] element by element.
-pub(crate) fn activate_in_place(act: Activation, values: &mut [f64]) {
+/// Adds `biases` to every row of the row-major `values` and applies the
+/// activation, in one pass: `v ← act(v + b)`, a dense layer's forward
+/// epilogue. Tanh runs the vectorized kernel; the result is bitwise
+/// identical to adding the bias and then applying [`Activation::apply`]
+/// element by element.
+pub(crate) fn bias_activate_rows(act: Activation, values: &mut [f64], biases: &[f64]) {
+    assert_eq!(values.len() % biases.len(), 0, "values are whole rows");
+    let rows = values.chunks_exact_mut(biases.len());
     match act {
-        Activation::Tanh => tanh_in_place(values),
-        Activation::Identity => {}
-        _ => values.iter_mut().for_each(|v| *v = act.apply(*v)),
+        Activation::Tanh => {
+            let isa = kernel_isa();
+            rows.for_each(|row| tanh_biased_on(isa, row, biases));
+        }
+        Activation::Identity => rows.for_each(|row| {
+            row.iter_mut().zip(biases).for_each(|(v, b)| *v += b);
+        }),
+        _ => rows.for_each(|row| {
+            row.iter_mut()
+                .zip(biases)
+                .for_each(|(v, b)| *v = act.apply(*v + b));
+        }),
     }
 }
 
@@ -143,24 +156,23 @@ fn tanh_scalar(x: f64) -> f64 {
     f64::from_bits(th.to_bits() | (x.to_bits() & SIGN))
 }
 
-/// Replaces every element of `values` with its tanh, on the widest kernel
-/// the CPU supports ([`kernel_isa`]). Bitwise identical to
-/// [`Activation::apply`] on every element.
-pub(crate) fn tanh_in_place(values: &mut [f64]) {
-    tanh_in_place_on(kernel_isa(), values);
-}
-
-/// [`tanh_in_place`] on an explicit kernel; `isa` must be supported by
-/// the CPU (tests run every variant).
-fn tanh_in_place_on(isa: KernelIsa, values: &mut [f64]) {
+/// `values[i] ← tanh(values[i] + bias[i])` on the kernel `isa`, which
+/// must be supported by the CPU (tests run every variant). Bitwise
+/// identical to [`Activation::apply`] on every sum.
+fn tanh_biased_on(isa: KernelIsa, values: &mut [f64], bias: &[f64]) {
+    assert_eq!(values.len(), bias.len(), "one bias per value");
     match isa {
         // SAFETY: `kernel_isa` reports Avx512/Avx2 only when the CPU has
-        // AVX-512F (resp. AVX2 and FMA).
+        // AVX-512F (resp. AVX2 and FMA); the slices have equal lengths.
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx512 => unsafe { x86::tanh_avx512(values) },
+        KernelIsa::Avx512 => unsafe { x86::tanh_avx512(values, bias) },
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx2 => unsafe { x86::tanh_avx2(values) },
-        _ => values.iter_mut().for_each(|v| *v = tanh_scalar(*v)),
+        KernelIsa::Avx2 => unsafe { x86::tanh_avx2(values, bias) },
+        _ => {
+            for (v, b) in values.iter_mut().zip(bias) {
+                *v = tanh_scalar(*v + b);
+            }
+        }
     }
 }
 
@@ -169,17 +181,26 @@ mod x86 {
     use super::{EXPM1_TAYLOR, LN2_HI, LN2_LO, LOG2E, SHIFTER, SIGN, TANH_CLAMP};
     use std::arch::x86_64::*;
 
+    /// `values[i] ← tanh(values[i] + bias[i])`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `bias` must be as long as
+    /// `values`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tanh_avx512(values: &mut [f64]) {
+    pub(super) unsafe fn tanh_avx512(values: &mut [f64], bias: &[f64]) {
         let mut chunks = values.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let v = _mm512_loadu_pd(chunk.as_ptr());
+        let mut bias_chunks = bias.chunks_exact(8);
+        for (chunk, b) in (&mut chunks).zip(&mut bias_chunks) {
+            let v = _mm512_add_pd(_mm512_loadu_pd(chunk.as_ptr()), _mm512_loadu_pd(b.as_ptr()));
             _mm512_storeu_pd(chunk.as_mut_ptr(), tanh8(v));
         }
         let rest = chunks.into_remainder();
         if !rest.is_empty() {
             let mask = (1u8 << rest.len()) - 1;
-            let v = _mm512_maskz_loadu_pd(mask, rest.as_ptr());
+            let v = _mm512_add_pd(
+                _mm512_maskz_loadu_pd(mask, rest.as_ptr()),
+                _mm512_maskz_loadu_pd(mask, bias_chunks.remainder().as_ptr()),
+            );
             _mm512_mask_storeu_pd(rest.as_mut_ptr(), mask, tanh8(v));
         }
     }
@@ -225,19 +246,30 @@ mod x86 {
         _mm512_castsi512_pd(signed)
     }
 
+    /// `values[i] ← tanh(values[i] + bias[i])`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and `bias` must be as long as
+    /// `values`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn tanh_avx2(values: &mut [f64]) {
+    pub(super) unsafe fn tanh_avx2(values: &mut [f64], bias: &[f64]) {
         let mut chunks = values.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            let v = _mm256_loadu_pd(chunk.as_ptr());
+        let mut bias_chunks = bias.chunks_exact(4);
+        for (chunk, b) in (&mut chunks).zip(&mut bias_chunks) {
+            let v = _mm256_add_pd(_mm256_loadu_pd(chunk.as_ptr()), _mm256_loadu_pd(b.as_ptr()));
             _mm256_storeu_pd(chunk.as_mut_ptr(), tanh4(v));
         }
         let rest = chunks.into_remainder();
         if !rest.is_empty() {
             let mut buf = [0.0f64; 4];
+            let mut bias_buf = [0.0f64; 4];
             buf[..rest.len()].copy_from_slice(rest);
-            let v = tanh4(_mm256_loadu_pd(buf.as_ptr()));
-            _mm256_storeu_pd(buf.as_mut_ptr(), v);
+            bias_buf[..rest.len()].copy_from_slice(bias_chunks.remainder());
+            let v = _mm256_add_pd(
+                _mm256_loadu_pd(buf.as_ptr()),
+                _mm256_loadu_pd(bias_buf.as_ptr()),
+            );
+            _mm256_storeu_pd(buf.as_mut_ptr(), tanh4(v));
             rest.copy_from_slice(&buf[..rest.len()]);
         }
     }
@@ -311,6 +343,12 @@ mod tests {
         assert!((a.apply(1.0) - 1.0f64.tanh()).abs() < 1e-15);
         let out = a.apply(0.5);
         assert!((a.derivative_from_output(out) - (1.0 - out * out)).abs() < 1e-15);
+    }
+
+    /// Plain tanh on the kernel `isa`: the biased kernel with a `-0.0`
+    /// bias, the additive identity for every value (`-0.0` included).
+    fn tanh_in_place_on(isa: KernelIsa, values: &mut [f64]) {
+        tanh_biased_on(isa, values, &vec![-0.0; values.len()]);
     }
 
     /// Every tanh variant this CPU can run.
@@ -422,8 +460,45 @@ mod tests {
             }
         }
         let mut slice = sweep.clone();
-        activate_in_place(Activation::Tanh, &mut slice);
+        bias_activate_rows(Activation::Tanh, &mut slice, &[-0.0]);
         assert!(slice.iter().map(|v| v.to_bits()).eq(want.iter().copied()));
+    }
+
+    #[test]
+    fn fused_bias_equals_add_then_apply_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        // Widths with and without a vector tail; 9 rows each.
+        for width in [1usize, 3, 8, 11, 43, 64] {
+            let values: Vec<f64> = (0..9 * width).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            let biases: Vec<f64> = (0..width).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let added: Vec<f64> = values
+                .chunks(width)
+                .flat_map(|row| row.iter().zip(&biases).map(|(v, b)| v + b))
+                .collect();
+            for act in [
+                Activation::Tanh,
+                Activation::ReLU,
+                Activation::Sigmoid,
+                Activation::Identity,
+            ] {
+                let want: Vec<u64> = added.iter().map(|&z| act.apply(z).to_bits()).collect();
+                let mut got = values.clone();
+                bias_activate_rows(act, &mut got, &biases);
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{act:?}, width {width}");
+            }
+            for isa in tanh_variants() {
+                let want: Vec<u64> = added.iter().map(|&z| tanh_scalar(z).to_bits()).collect();
+                let mut got = values.clone();
+                for row in got.chunks_mut(width) {
+                    tanh_biased_on(isa, row, &biases);
+                }
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{isa:?}, width {width}");
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub(crate) struct TrainScratch {
     bias_segment: Vec<f64>,
     /// The batch-mean gradient.
     pub(crate) total: Vec<LayerGradients>,
-    /// Cached `Wᵀ` per layer for the backward pass; refresh via
-    /// [`TrainScratch::refresh_weights_t`] whenever the weights change.
+    /// Cached `Wᵀ` of layers 1.. (`weights_t[l - 1]` for layer `l`) for
+    /// the backward pass's `dX`; layer 0 has no `dX`, so no panel. Refresh
+    /// via [`TrainScratch::refresh_weights_t`] whenever the weights change.
     weights_t: Vec<Matrix>,
     /// Reusable gather/one-hot buffers for the current batch.
     pub(crate) x: Matrix,
@@ -99,7 +100,7 @@ impl TrainScratch {
                     biases: vec![0.0; l.out_dim()],
                 })
                 .collect(),
-            weights_t: layers.iter().map(|l| l.weights.transpose()).collect(),
+            weights_t: layers[1..].iter().map(|l| l.weights.transpose()).collect(),
             x: Matrix::zeros(0, net.input_dim()),
             y: Matrix::zeros(0, net.num_classes()),
         }
@@ -109,7 +110,7 @@ impl TrainScratch {
     /// current weights. Call after every weight mutation (optimizer step,
     /// weight decay, watchdog rollback).
     pub(crate) fn refresh_weights_t(&mut self, net: &Network) {
-        for (wt, layer) in self.weights_t.iter_mut().zip(net.layers()) {
+        for (wt, layer) in self.weights_t.iter_mut().zip(&net.layers()[1..]) {
             layer
                 .weights
                 .transpose_into(wt)
@@ -127,6 +128,71 @@ impl TrainScratch {
             }
         }
     }
+
+    /// [`Self::scale_total`] that also returns the L2 norm of the scaled
+    /// gradient, from the same pass. The squares are summed serially,
+    /// layer by layer, weights before biases.
+    fn scale_total_with_norm(&mut self, factor: f64) -> f64 {
+        let mut sq = 0.0;
+        for g in &mut self.total {
+            for v in g.weights.as_mut_slice().iter_mut().chain(&mut g.biases) {
+                *v *= factor;
+                sq += *v * *v;
+            }
+        }
+        sq.sqrt()
+    }
+}
+
+/// Turns `grad` (row-major, one row per sample, `biases.len()` wide) from
+/// `dA` into `dZ = dA ⊙ act'(A)` given the activated outputs, and writes
+/// the column sums of `dZ` to `biases`, summed per [`SEGMENT_ROWS`]-row
+/// segment in the module's order. The activation is matched once, not per
+/// element.
+fn dz_and_bias_sums(
+    act: Activation,
+    grad: &mut [f64],
+    outputs: &[f64],
+    biases: &mut [f64],
+    segment: &mut Vec<f64>,
+) {
+    fn pass(
+        grad: &mut [f64],
+        outputs: &[f64],
+        biases: &mut [f64],
+        segment: &mut Vec<f64>,
+        dz: impl Fn(f64, f64) -> f64,
+    ) {
+        let width = biases.len();
+        biases.fill(0.0);
+        segment.resize(width, 0.0);
+        let rows = grad.chunks_mut(SEGMENT_ROWS * width);
+        for (rows, outs) in rows.zip(outputs.chunks(SEGMENT_ROWS * width)) {
+            segment.fill(0.0);
+            for (row, out) in rows.chunks_mut(width).zip(outs.chunks(width)) {
+                for ((g, &a), s) in row.iter_mut().zip(out).zip(segment.iter_mut()) {
+                    *g = dz(*g, a);
+                    *s += *g;
+                }
+            }
+            for (b, s) in biases.iter_mut().zip(&segment[..]) {
+                *b += s;
+            }
+        }
+    }
+    // One closure per arm, so each `pass` is compiled for one activation.
+    match act {
+        Activation::Tanh => pass(grad, outputs, biases, segment, |g, a| {
+            g * Activation::Tanh.derivative_from_output(a)
+        }),
+        Activation::ReLU => pass(grad, outputs, biases, segment, |g, a| {
+            g * Activation::ReLU.derivative_from_output(a)
+        }),
+        Activation::Sigmoid => pass(grad, outputs, biases, segment, |g, a| {
+            g * Activation::Sigmoid.derivative_from_output(a)
+        }),
+        Activation::Identity => pass(grad, outputs, biases, segment, |g, _| g),
+    }
 }
 
 impl Network {
@@ -138,6 +204,24 @@ impl Network {
     /// segment order in the module docs, so the result is bitwise
     /// identical at any thread count.
     pub(crate) fn accumulate_gradients(&self, scratch: &mut TrainScratch) -> f64 {
+        let (loss_sum, inv) = self.accumulate_gradient_sums(scratch);
+        scratch.scale_total(inv);
+        loss_sum * inv
+    }
+
+    /// [`Self::accumulate_gradients`] that also returns the mean
+    /// gradient's L2 norm, computed in the pass that takes the mean.
+    /// Returns `(loss, norm)`.
+    pub(crate) fn accumulate_gradients_with_norm(&self, scratch: &mut TrainScratch) -> (f64, f64) {
+        let (loss_sum, inv) = self.accumulate_gradient_sums(scratch);
+        let norm = scratch.scale_total_with_norm(inv);
+        (loss_sum * inv, norm)
+    }
+
+    /// The batch sums behind [`Self::accumulate_gradients`]: leaves the
+    /// summed gradients in `scratch.total` and returns the summed loss
+    /// and `1 / batch`.
+    fn accumulate_gradient_sums(&self, scratch: &mut TrainScratch) -> (f64, f64) {
         let n = scratch.x.rows();
         assert!(n > 0, "gradient of an empty batch");
         let TrainScratch {
@@ -188,47 +272,29 @@ impl Network {
 
         for l in (0..layers.len()).rev() {
             let layer = &layers[l];
-            // dZ = dA ⊙ act'(A), in place (identity for the logits layer).
-            if layer.activation != Activation::Identity {
-                for (g, &a) in grad
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(activations[l].as_slice())
-                {
-                    *g *= layer.activation.derivative_from_output(a);
-                }
-            }
+            // dZ = dA ⊙ act'(A) in place (identity for the logits layer),
+            // and db = column sums of dZ, in one pass.
+            dz_and_bias_sums(
+                layer.activation,
+                grad.as_mut_slice(),
+                activations[l].as_slice(),
+                &mut total[l].biases,
+                bias_segment,
+            );
             let input = if l == 0 { &*x } else { &activations[l - 1] };
             // dW = Xᵀ · dZ, summed segment by segment.
             matmul_at_segmented_into(input, grad, &mut total[l].weights, SEGMENT_ROWS, opts)
                 .expect("gradient shapes agree");
-            // db = column sums of dZ, segment by segment.
-            let width = layer.out_dim();
-            let biases = &mut total[l].biases;
-            biases.fill(0.0);
-            bias_segment.resize(width, 0.0);
-            for rows in grad.as_slice().chunks(SEGMENT_ROWS * width) {
-                bias_segment.fill(0.0);
-                for row in rows.chunks(width) {
-                    for (b, v) in bias_segment.iter_mut().zip(row) {
-                        *b += v;
-                    }
-                }
-                for (b, s) in biases.iter_mut().zip(&bias_segment[..]) {
-                    *b += s;
-                }
-            }
             // dX = dZ · Wᵀ via the cached transposed panel.
             if l > 0 {
                 grad_prev.resize(n, layer.in_dim());
-                matmul_into(grad, &weights_t[l], grad_prev, opts).expect("gradient shapes agree");
+                matmul_into(grad, &weights_t[l - 1], grad_prev, opts)
+                    .expect("gradient shapes agree");
                 std::mem::swap(grad, grad_prev);
             }
         }
 
-        let inv = 1.0 / n as f64;
-        scratch.scale_total(inv);
-        loss * inv
+        (loss, 1.0 / n as f64)
     }
 }
 
@@ -374,6 +440,36 @@ mod tests {
     }
 
     #[test]
+    fn fused_norm_equals_the_serial_norm_of_the_mean_gradient() {
+        let net = Network::new(&NetworkConfig::new(&[5, 24, 9, 4]), 77);
+        let (x, y) = toy_batch(50, 5, 4, 3);
+        let mut plain = TrainScratch::new(&net, 1);
+        let want_loss = gradients(&net, &mut plain, &x, &y);
+        // The norm as the watchdog summed it before the fusion: a second
+        // serial pass over the mean gradient.
+        let mut sq = 0.0;
+        for g in &plain.total {
+            for v in g.weights.as_slice() {
+                sq += v * v;
+            }
+            for b in &g.biases {
+                sq += b * b;
+            }
+        }
+        let mut fused = TrainScratch::new(&net, 1);
+        fused.x = x;
+        fused.y = y;
+        fused.refresh_weights_t(&net);
+        let (loss, norm) = net.accumulate_gradients_with_norm(&mut fused);
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        assert_eq!(norm.to_bits(), sq.sqrt().to_bits());
+        for (f, p) in fused.total.iter().zip(&plain.total) {
+            assert_eq!(f.weights, p.weights);
+            assert_eq!(f.biases, p.biases);
+        }
+    }
+
+    #[test]
     fn pooled_gradients_are_bitwise_worker_count_invariant() {
         let net = Network::new(&NetworkConfig::new(&[5, 16, 4]), 77);
         let (x, y) = toy_batch(70, 5, 4, 11);
@@ -411,13 +507,16 @@ mod tests {
 
     #[test]
     fn refresh_tracks_weight_changes() {
-        let data_net = Network::new(&NetworkConfig::new(&[2, 6, 2]), 3);
-        let mut net = data_net.clone();
+        let mut net = Network::new(&NetworkConfig::new(&[2, 6, 5, 2]), 3);
         let mut scratch = TrainScratch::new(&net, 1);
-        // Mutate the weights, refresh, and verify the cache matches.
-        net.layers_mut()[0].weights.scale_inplace(0.5);
+        // Mutate the weights, refresh, and verify the cache matches. Only
+        // layers 1.. have a panel: the input layer has no `dX`.
+        for layer in net.layers_mut() {
+            layer.weights.scale_inplace(0.5);
+        }
         scratch.refresh_weights_t(&net);
-        for (wt, layer) in scratch.weights_t.iter().zip(net.layers()) {
+        assert_eq!(scratch.weights_t.len(), net.layers().len() - 1);
+        for (wt, layer) in scratch.weights_t.iter().zip(&net.layers()[1..]) {
             assert_eq!(*wt, layer.weights.transpose());
         }
     }

@@ -1,6 +1,6 @@
 //! Dense (fully connected) layers with batched forward and backward passes.
 
-use crate::activation::{activate_in_place, Activation};
+use crate::activation::{bias_activate_rows, Activation};
 use nrpm_linalg::{matmul, matmul_into, MatmulOptions, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -81,13 +81,7 @@ impl DenseLayer {
     }
 
     fn bias_and_activate(&self, z: &mut Matrix) {
-        let out = self.out_dim();
-        for row in z.as_mut_slice().chunks_mut(out) {
-            for (v, b) in row.iter_mut().zip(self.biases.iter()) {
-                *v += b;
-            }
-        }
-        activate_in_place(self.activation, z.as_mut_slice());
+        bias_activate_rows(self.activation, z.as_mut_slice(), &self.biases);
     }
 
     /// Backward pass.

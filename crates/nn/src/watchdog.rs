@@ -24,7 +24,6 @@
 
 use crate::arena::TrainScratch;
 use crate::dataset::Dataset;
-use crate::layer::LayerGradients;
 use crate::network::{Network, NetworkError};
 use crate::optimizer::Optimizer;
 use crate::trainer::{TrainerOptions, TrainingReport};
@@ -111,19 +110,6 @@ pub struct GuardedReport {
     pub clipped_steps: u64,
 }
 
-fn grad_norm(grads: &[LayerGradients]) -> f64 {
-    let mut sq = 0.0;
-    for g in grads {
-        for v in g.weights.as_slice() {
-            sq += v * v;
-        }
-        for b in &g.biases {
-            sq += b * b;
-        }
-    }
-    sq.sqrt()
-}
-
 fn weights_finite(net: &Network) -> bool {
     net.layers().iter().all(|l| {
         l.weights.as_slice().iter().all(|v| v.is_finite()) && l.biases.iter().all(|b| b.is_finite())
@@ -187,12 +173,11 @@ impl Network {
                 // step, decay, or rollback); re-derive the cached
                 // transposes before the backward pass reads them.
                 scratch.refresh_weights_t(self);
-                let mut loss = self.accumulate_gradients(&mut scratch);
+                let (mut loss, norm) = self.accumulate_gradients_with_norm(&mut scratch);
                 global_step += 1;
                 if guard.inject_nan_loss_at.contains(&global_step) {
                     loss = f64::NAN;
                 }
-                let norm = grad_norm(&scratch.total);
                 let detected = if !loss.is_finite() {
                     Some(FaultDetected::NonFiniteLoss)
                 } else if !norm.is_finite() {

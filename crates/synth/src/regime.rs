@@ -24,7 +24,7 @@
 //! inflated by exactly `spike_rate · (spike_factor − 1)` — the quantity
 //! the moment proptests pin down.
 
-use crate::noise::{apply_noise, noisy_repetitions};
+use crate::noise::apply_noise;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -134,13 +134,27 @@ impl NoiseFamily {
         rep: usize,
         rng: &mut impl Rng,
     ) -> Vec<f64> {
-        if matches!(self, NoiseFamily::Uniform) {
-            return noisy_repetitions(value, level, rep, rng);
-        }
+        let mut out = Vec::with_capacity(rep);
+        self.repetitions_into(value, level, pos, rep, rng, &mut out);
+        out
+    }
+
+    /// [`Self::repetitions`] into a caller's buffer (cleared first), so a
+    /// corpus generator reuses one allocation for every point. Uniform
+    /// draws are [`crate::apply_noise`] per repetition, exactly as
+    /// [`crate::noisy_repetitions`] makes them.
+    pub fn repetitions_into(
+        &self,
+        value: f64,
+        level: f64,
+        pos: f64,
+        rep: usize,
+        rng: &mut impl Rng,
+        out: &mut Vec<f64>,
+    ) {
         assert!(rep >= 1, "at least one repetition required");
-        (0..rep)
-            .map(|_| self.perturb(value, level, pos, rng))
-            .collect()
+        out.clear();
+        out.extend((0..rep).map(|_| self.perturb(value, level, pos, rng)));
     }
 
     /// The expected value of a perturbed measurement divided by its truth.
@@ -197,6 +211,7 @@ impl fmt::Display for NoiseFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::noisy_repetitions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

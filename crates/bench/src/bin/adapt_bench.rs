@@ -18,7 +18,7 @@
 //! ```
 
 use nrpm_bench::cli::Args;
-use nrpm_bench::report::{f2, Table};
+use nrpm_bench::report::{f2, percentile, Table};
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
@@ -72,14 +72,6 @@ fn bench_set(salt: u64) -> MeasurementSet {
         set.add_repetitions(&[x], &[y, y * 1.01, y * 0.99]);
     }
     set
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx].as_secs_f64() * 1e3
 }
 
 fn counter(stats: &Value, key: &str) -> u64 {

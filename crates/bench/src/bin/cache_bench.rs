@@ -13,7 +13,7 @@
 //! ```
 
 use nrpm_bench::cli::Args;
-use nrpm_bench::report::{f2, Table};
+use nrpm_bench::report::{f2, percentile, Table};
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
@@ -57,14 +57,6 @@ fn bench_set(salt: u64) -> MeasurementSet {
         set.add_repetitions(&[x], &[y, y * 1.02, y * 0.98, y * 1.01, y * 0.99]);
     }
     set
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx].as_secs_f64() * 1e3
 }
 
 /// One pass over `requests` distinct kernels, returning sorted latencies.

@@ -23,7 +23,7 @@
 //! ```
 
 use nrpm_bench::cli::Args;
-use nrpm_bench::report::{f2, pct, Table};
+use nrpm_bench::report::{f2, pct, percentile, Table};
 use nrpm_cluster::{Cluster, ClusterOptions, HashRing, DEFAULT_VNODES};
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
@@ -162,14 +162,6 @@ fn launch(shards: usize) -> Cluster {
         },
     )
     .expect("launch bench cluster")
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx].as_secs_f64() * 1e3
 }
 
 fn router_stat(addr: SocketAddr, key: &str) -> u64 {

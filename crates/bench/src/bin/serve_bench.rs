@@ -18,7 +18,7 @@
 //! ```
 
 use nrpm_bench::cli::Args;
-use nrpm_bench::report::{f2, Table};
+use nrpm_bench::report::{f2, percentile, Table};
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
@@ -92,14 +92,6 @@ fn paper_store(quantize: bool) -> ModelStore {
         max_argmax_flips: usize::MAX,
     };
     ModelStore::from_network(network, opts).expect("paper store")
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx].as_secs_f64() * 1e3
 }
 
 /// Runs one scenario against a fresh server and collects its latencies.

@@ -1,5 +1,9 @@
 //! Table rendering for the harness binaries: fixed-width text tables that
-//! mirror the rows/series of the paper's figures.
+//! mirror the rows/series of the paper's figures, plus the latency
+//! percentile every bench reports.
+
+use nrpm_linalg::stats::quantile_sorted;
+use std::time::Duration;
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Clone)]
@@ -67,9 +71,25 @@ pub fn f2(value: f64) -> String {
     format!("{value:.2}")
 }
 
+/// The `q`-quantile of ascending latencies in milliseconds, interpolated
+/// between neighbouring ranks; `NaN` (a JSON `null`) when there are none.
+pub fn percentile(sorted: &[Duration], q: f64) -> f64 {
+    let ms: Vec<f64> = sorted.iter().map(|d| d.as_secs_f64() * 1e3).collect();
+    quantile_sorted(&ms, q)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_interpolates_milliseconds() {
+        let sorted: Vec<Duration> = [1, 2, 3, 4].map(Duration::from_millis).to_vec();
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.5), 2.5);
+        assert_eq!(percentile(&sorted, 1.0), 4.0);
+        assert!(percentile(&[], 0.5).is_nan());
+    }
 
     #[test]
     fn renders_aligned_columns() {

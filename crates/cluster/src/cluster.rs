@@ -9,7 +9,7 @@
 //! its exact old ring positions back. Every membership change bumps a
 //! `generation` counter that the standby router's state sync keys on.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_nn::Network;
 use nrpm_registry::rollout::RolloutJournal;
-use nrpm_registry::CheckpointRegistry;
+use nrpm_registry::{stop_and_wake, CheckpointRegistry};
 use nrpm_serve::client::{is_ok, Client, RetryPolicy};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
@@ -216,17 +216,17 @@ impl ClusterState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the drain flag; the loopback connect wakes the polling router
-    /// acceptor on platforms where nonblocking listeners are unavailable.
+    /// Flips the drain flag and wakes the blocking router acceptor with
+    /// one loopback connect, which it drops unserved.
     pub(crate) fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.router_addr, Duration::from_secs(1));
-        }
+        stop_and_wake(&self.shutdown, self.router_addr);
     }
 
-    /// `router_kill` test hook: see the field docs.
+    /// `router_kill` test hook (see the field docs). Wakes the acceptor
+    /// too, so the router drops its listener and a standby can bind the
+    /// address.
     pub(crate) fn kill_router(&self) {
-        self.router_dead.store(true, Ordering::SeqCst);
+        stop_and_wake(&self.router_dead, self.router_addr);
     }
 
     pub(crate) fn router_dead(&self) -> bool {

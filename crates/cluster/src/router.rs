@@ -23,18 +23,17 @@
 //! replication — which is what the affinity and divergence measurements
 //! in `cluster_bench` key on.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use nrpm_core::fingerprint::{mix64, set_fingerprint};
-use nrpm_registry::hex16;
+use nrpm_registry::{accept_until, hex16, Connections};
 use nrpm_serve::protocol::{
-    error_line, nesting_exceeds, ok_line, ErrorKind, Request, MAX_JSON_DEPTH, MAX_LINE_BYTES,
+    error_line, nesting_exceeds, ok_line, ErrorKind, Request, MAX_JSON_DEPTH,
 };
+use nrpm_serve::server::{serve_lines, Disposition};
 use serde::Value;
 use serde_json;
 
@@ -49,149 +48,36 @@ pub(crate) fn next_conn_id() -> u64 {
     CONN_COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Accept loop: one reader thread per connection, reaped every poll tick,
-/// all joined when the drain flag flips (or the `router_kill` hook fires —
-/// which stops the router *without* draining the shards, the takeover
-/// drill's stand-in for a router-host crash).
+/// Accept loop: blocks in `accept` and runs one reader thread per
+/// connection until the drain flag flips or the `router_kill` hook fires
+/// (which stops the router *without* draining the shards, the takeover
+/// drill's stand-in for a router-host crash). Both stops wake the accept
+/// with a loopback connect; the listener is closed at once, so a standby
+/// can bind the address, and then the live connections are waited out.
 pub(crate) fn run_router(listener: TcpListener, state: &Arc<ClusterState>) {
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    let poll = state.opts.shard_opts.poll_interval;
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !state.draining() && !state.router_dead() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|h| !h.is_finished());
-                let conn_state = Arc::clone(state);
-                let handle = thread::Builder::new()
-                    .name("nrpm-cluster-conn".into())
-                    .spawn(move || {
-                        let _ = serve_router_connection(stream, &conn_state);
-                    })
-                    .expect("spawn router connection thread");
-                connections.push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                connections.retain(|h| !h.is_finished());
-                thread::sleep(poll);
-            }
-            Err(_) => {
-                if !nonblocking {
-                    continue;
-                }
-                thread::sleep(poll);
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-enum Disposition {
-    Respond(String),
-    RespondAndClose(String),
-}
-
-/// Reads newline-delimited requests off one client connection until EOF,
-/// error, stall, or drain — the same framing rules (`MAX_LINE_BYTES`,
-/// slowloris guard) as a shard connection, so the router is never the
-/// weaker link.
-fn serve_router_connection(
-    mut stream: TcpStream,
-    state: &Arc<ClusterState>,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(state.opts.shard_opts.poll_interval))?;
-    stream.set_write_timeout(Some(state.opts.shard_opts.io_timeout))?;
-    let mut conns = ShardConns::new();
-    let mut scratch = RouteScratch::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut partial_since: Option<Instant> = None;
-    let mut scanned = 0usize;
-    loop {
-        while let Some(rel) = buf[scanned..].iter().position(|&b| b == b'\n') {
-            let pos = scanned + rel;
-            if pos > MAX_LINE_BYTES {
-                let response = error_line(
-                    None,
-                    ErrorKind::Usage,
-                    &format!("request exceeds {MAX_LINE_BYTES} bytes"),
+    let conns = Arc::new(Connections::default());
+    accept_until(
+        listener,
+        || state.draining() || state.router_dead(),
+        |stream| {
+            let state = Arc::clone(state);
+            // A failed spawn drops the stream: the client sees a close.
+            let _ = conns.spawn("nrpm-cluster-conn", move || {
+                // The same framing rules as a shard connection (frame cap,
+                // slowloris guard), so the router is never the weaker link.
+                let (mut shards, mut scratch) = (ShardConns::new(), RouteScratch::new());
+                let _ = serve_lines(
+                    stream,
+                    state.opts.shard_opts.poll_interval,
+                    state.opts.shard_opts.io_timeout,
+                    || state.draining() || state.router_dead(),
+                    |line| handle_router_line(line, &state, &mut shards, &mut scratch),
+                    |_| {},
                 );
-                stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return Ok(());
-            }
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            scanned = 0;
-            partial_since = None;
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match handle_router_line(line, state, &mut conns, &mut scratch) {
-                Disposition::Respond(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                }
-                Disposition::RespondAndClose(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                    return Ok(());
-                }
-            }
-        }
-        scanned = buf.len();
-        if buf.len() > MAX_LINE_BYTES {
-            let response = error_line(
-                None,
-                ErrorKind::Usage,
-                &format!("request exceeds {MAX_LINE_BYTES} bytes"),
-            );
-            stream.write_all(response.as_bytes())?;
-            stream.write_all(b"\n")?;
-            return Ok(());
-        }
-        if buf.is_empty() {
-            partial_since = None;
-        } else if let Some(since) = partial_since {
-            if since.elapsed() >= state.opts.shard_opts.io_timeout {
-                let response = error_line(
-                    None,
-                    ErrorKind::Timeout,
-                    &format!(
-                        "request incomplete after {:?}; closing stalled connection",
-                        state.opts.shard_opts.io_timeout
-                    ),
-                );
-                let _ = stream.write_all(response.as_bytes());
-                let _ = stream.write_all(b"\n");
-                return Ok(());
-            }
-        } else {
-            partial_since = Some(Instant::now());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.draining() || state.router_dead() {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+            });
+        },
+    );
+    conns.wait_idle();
 }
 
 fn handle_router_line(

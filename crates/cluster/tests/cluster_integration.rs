@@ -12,6 +12,8 @@ use nrpm_registry::{hex16, CheckpointRegistry};
 use nrpm_serve::client::{is_ok, Client, RetryPolicy, RetryingClient};
 use serde::Value;
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
@@ -369,5 +371,98 @@ fn router_rejects_shard_local_commands_and_bad_admin() {
         health.get("service").and_then(Value::as_str),
         Some("nrpm-cluster-router")
     );
+    join_within(cluster, Duration::from_secs(20));
+}
+
+/// Fresh client connections through the router are answered at once, even
+/// with a 2 s poll tick on every shard and router connection: neither the
+/// router's acceptor nor the shard acceptors behind it sleep on that tick.
+/// A `router_kill` wakes the router's acceptor, so the address is free for
+/// a new listener right away.
+#[test]
+fn fresh_router_connections_do_not_wait_for_a_tick() {
+    let cluster = Cluster::launch(
+        test_network(41),
+        ClusterOptions {
+            shard_opts: nrpm_serve::server::ServeOptions {
+                poll_interval: Duration::from_secs(2),
+                ..Default::default()
+            },
+            ..fast_options()
+        },
+    )
+    .unwrap();
+    let router = cluster.router_addr();
+    let median = |round_trip: &dyn Fn(&mut Client) -> Value| {
+        let mut times: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                let mut client = Client::connect(router, Duration::from_secs(30)).unwrap();
+                let response = round_trip(&mut client);
+                assert!(is_ok(&response), "{response:?}");
+                started.elapsed()
+            })
+            .collect();
+        times.sort();
+        times[times.len() / 2]
+    };
+    let health = median(&|client| client.health().unwrap());
+    assert!(
+        health < Duration::from_millis(200),
+        "health median {health:?}"
+    );
+    // Each fresh router connection opens its own shard connection too.
+    let model = median(&|client| client.model(keyed_set(3), None, None).unwrap());
+    assert!(model < Duration::from_millis(200), "model median {model:?}");
+
+    let mut admin = Client::connect(router, Duration::from_secs(10)).unwrap();
+    let killed = admin.roundtrip_line(r#"{"cmd":"router_kill"}"#).unwrap();
+    assert_eq!(
+        killed.get("router_killed").and_then(Value::as_bool),
+        Some(true)
+    );
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let listener = loop {
+        match TcpListener::bind(router) {
+            Ok(listener) => break listener,
+            Err(e) => assert!(Instant::now() < deadline, "rebind {router}: {e}"),
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
+    drop(listener);
+    join_within(cluster, Duration::from_secs(30));
+}
+
+/// The router's connections run the shard framing loop: a request line
+/// left incomplete past `io_timeout` gets one timeout line, then a close.
+#[test]
+fn router_closes_stalled_partial_requests() {
+    let cluster = Cluster::launch(
+        test_network(43),
+        ClusterOptions {
+            shard_opts: nrpm_serve::server::ServeOptions {
+                io_timeout: Duration::from_millis(300),
+                ..Default::default()
+            },
+            ..fast_options()
+        },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(cluster.router_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(br#"{"cmd":"hea"#).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response: Value = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(
+        response.get("kind").and_then(Value::as_str),
+        Some("timeout"),
+        "{response:?}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0);
     join_within(cluster, Duration::from_secs(20));
 }

@@ -37,12 +37,14 @@
 //!
 //! [`TailPolicy::HoldForMore`]: nrpm_extrap::TailPolicy
 
+use nrpm_registry::{accept_until, stop_and_wake};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Bound on records queued between push connections and the engine.
@@ -175,10 +177,17 @@ pub struct PushRecord {
 #[derive(Debug)]
 pub struct PushSource {
     addr: SocketAddr,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
+    shared: Arc<PushShared>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+/// What the push connection threads share with the source.
+#[derive(Debug, Default)]
+struct PushShared {
+    queue: Mutex<std::collections::VecDeque<PushRecord>>,
+    dropped: AtomicU64,
+    received: AtomicU64,
+    stop: AtomicBool,
 }
 
 impl PushSource {
@@ -187,26 +196,26 @@ impl PushSource {
     pub fn bind(addr: &str) -> std::io::Result<PushSource> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let queue = Arc::new(Mutex::new(std::collections::VecDeque::new()));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let received = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        {
-            let queue = Arc::clone(&queue);
-            let dropped = Arc::clone(&dropped);
-            let received = Arc::clone(&received);
-            let stop = Arc::clone(&stop);
+        let shared = Arc::new(PushShared::default());
+        let acceptor = {
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                accept_loop(listener, queue, dropped, received, stop);
-            });
-        }
+                accept_until(
+                    listener,
+                    || shared.stop.load(Ordering::SeqCst),
+                    |stream| {
+                        let shared = Arc::clone(&shared);
+                        std::thread::spawn(move || {
+                            let _ = serve_connection(stream, &shared);
+                        });
+                    },
+                );
+            })
+        };
         Ok(PushSource {
             addr,
-            queue,
-            dropped,
-            received,
-            stop,
+            shared,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -217,70 +226,43 @@ impl PushSource {
 
     /// Drains every queued record.
     pub fn drain(&self) -> Vec<PushRecord> {
-        let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
         queue.drain(..).collect()
     }
 
     /// Records accepted over the wire so far.
     pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
+        self.shared.received.load(Ordering::Relaxed)
     }
 
     /// Records dropped because the engine fell behind the queue bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// Stops the accept loop (existing connections close on their own).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        stop_and_wake(&self.shared.stop, self.addr);
     }
 }
 
 impl Drop for PushSource {
+    /// Stops the accept loop and waits for it to close the listener, so
+    /// the address is free once the source is gone.
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let queue = Arc::clone(&queue);
-                let dropped = Arc::clone(&dropped);
-                let received = Arc::clone(&received);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, queue, dropped, received, stop);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &PushShared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    while !stop.load(Ordering::SeqCst) {
+    while !shared.stop.load(Ordering::SeqCst) {
         line.clear();
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()),
@@ -294,11 +276,11 @@ fn serve_connection(
                 }
                 match parse_push_record(trimmed) {
                     Ok(record) => {
-                        received.fetch_add(1, Ordering::Relaxed);
-                        let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());
+                        shared.received.fetch_add(1, Ordering::Relaxed);
+                        let mut q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
                         if q.len() >= PUSH_BUFFER {
                             q.pop_front();
-                            dropped.fetch_add(1, Ordering::Relaxed);
+                            shared.dropped.fetch_add(1, Ordering::Relaxed);
                         }
                         q.push_back(record);
                         drop(q);
@@ -473,5 +455,15 @@ mod tests {
         assert_eq!(source.received(), 2);
         assert_eq!(source.dropped(), 0);
         source.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_push_source_frees_its_port() {
+        let source = PushSource::bind("127.0.0.1:0").unwrap();
+        let addr = source.local_addr();
+        let started = std::time::Instant::now();
+        drop(source);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        TcpListener::bind(addr).expect("the push port is free after drop");
     }
 }

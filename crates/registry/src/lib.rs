@@ -14,7 +14,9 @@
 //! * [`checkpoints`] — a content-addressed store of trained networks with
 //!   named refs (`default`, `best`), `verify`, and `gc`;
 //! * [`singleflight`] — request deduplication so N concurrent identical
-//!   requests compute once and share the answer.
+//!   requests compute once and share the answer;
+//! * [`accept`] — the blocking accept loop every TCP front end runs,
+//!   woken by a loopback connect on stop, with a live-connection count.
 //!
 //! The serving layer (`nrpm-serve`) wires these together: cache before
 //! model, single-flight around the model path, journal under the cache.
@@ -31,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod cache;
 pub mod checkpoints;
 pub mod journal;
@@ -39,6 +42,7 @@ pub mod rollout;
 pub mod singleflight;
 pub mod swap;
 
+pub use accept::{accept_until, stop_and_wake, Connections};
 pub use cache::{CacheStats, ResultCache};
 pub use checkpoints::{hex16, parse_hex16, CheckpointRegistry, RegistryError, VerifyOutcome};
 pub use journal::{Journal, JournalError, RecoveryReport};

@@ -4,11 +4,11 @@
 //!
 //! ## Threading model
 //!
-//! - One **acceptor** thread owns the [`TcpListener`] (nonblocking, polled
-//!   every `poll_interval`) and spawns one reader thread per connection. On
-//!   every tick it reaps finished reader handles, so an idle server does
-//!   not accumulate parked `JoinHandle`s; past `max_conns` live
-//!   connections, new ones are shed with an `overloaded` response.
+//! - One **acceptor** thread owns the [`TcpListener`], blocks in `accept`
+//!   ([`nrpm_registry::accept_until`]) and spawns one reader thread per
+//!   connection, counted live by a drop guard until it ends; past
+//!   `max_conns` live connections, new ones are shed with an `overloaded`
+//!   response.
 //! - Each **connection** thread parses newline-delimited requests, answers
 //!   `health`/`stats`/`shutdown` inline, and hands `model`/`batch` work to
 //!   the pool through a **bounded** [`mpsc::sync_channel`], waiting for the
@@ -29,8 +29,9 @@
 //! ## Graceful drain
 //!
 //! A `shutdown` request (or [`Server::request_shutdown`]) flips a shared
-//! flag; the polling acceptor notices within one tick, stops accepting, and
-//! joins its connection threads; connections finish the request in flight,
+//! flag and wakes the acceptor with one loopback connect, which it drops
+//! unserved; the acceptor closes the listener and waits for the live
+//! connection count to reach zero; connections finish the request in flight,
 //! refuse new modeling work with `shutting_down`, and close; the supervisor
 //! exits without respawning; dropping the last job sender lets every worker
 //! drain the queue and exit. [`Server::join`] observes the whole cascade.
@@ -44,7 +45,9 @@ use crate::store::ModelStore;
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOutcome};
 use nrpm_core::fingerprint::ModelKey;
 use nrpm_extrap::MeasurementSet;
-use nrpm_registry::{hex16, Joined, ResultCache, SingleFlight};
+use nrpm_registry::{
+    accept_until, hex16, stop_and_wake, Connections, Joined, ResultCache, SingleFlight,
+};
 use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,9 +75,9 @@ pub struct ServeOptions {
     pub adapt: bool,
     /// Deadline applied when a request carries no `timeout_ms`.
     pub default_timeout: Duration,
-    /// How often blocked reads, the acceptor, and the supervisor wake up
-    /// to check the drain flag (and, for the acceptor, reap finished
-    /// connection threads).
+    /// How often blocked connection reads and the supervisor wake up to
+    /// check the drain flag. The acceptor blocks in `accept` and is woken
+    /// by the drain itself, so no connection waits on this tick.
     pub poll_interval: Duration,
     /// Capacity of the admission queue. Once `queue_depth` jobs wait for a
     /// worker, further modeling requests are shed with an `overloaded`
@@ -156,13 +159,10 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the drain flag; the polling acceptor notices within one tick.
-    /// The loopback connect is a belt-and-braces wake for the rare platform
-    /// where the listener could not be switched to nonblocking mode.
+    /// Flips the drain flag and wakes the blocking acceptor with one
+    /// loopback connect, which it drops unserved.
     fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        }
+        stop_and_wake(&self.shutdown, self.addr);
     }
 }
 
@@ -424,47 +424,31 @@ fn run_supervisor(
 }
 
 fn run_acceptor(listener: TcpListener, shared: &Arc<Shared>, job_tx: mpsc::SyncSender<Job>) {
-    // Nonblocking accept + a poll tick: the tick notices the drain flag and
-    // reaps finished reader threads even when no new connection ever
-    // arrives (the old reap-on-accept let handles pile up on idle servers).
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|h| !h.is_finished());
-                if connections.len() >= shared.opts.max_conns.max(1) {
-                    shed_connection(stream, shared);
-                    continue;
-                }
-                let shared_conn = Arc::clone(shared);
-                let job_tx = job_tx.clone();
-                let handle = thread::Builder::new()
-                    .name("nrpm-serve-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &shared_conn, &job_tx);
-                    })
-                    .expect("spawn connection thread");
-                connections.push(handle);
+    let conns = Arc::new(Connections::default());
+    accept_until(
+        listener,
+        || shared.draining(),
+        |stream| {
+            if conns.live() >= shared.opts.max_conns.max(1) {
+                shed_connection(stream, shared);
+                return;
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                connections.retain(|h| !h.is_finished());
-                thread::sleep(shared.opts.poll_interval);
-            }
-            Err(_) => {
-                if !nonblocking {
-                    continue;
-                }
-                thread::sleep(shared.opts.poll_interval);
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
+            let shared = Arc::clone(shared);
+            let job_tx = job_tx.clone();
+            // A failed spawn drops the stream: the client sees a close.
+            let _ = conns.spawn("nrpm-serve-conn", move || {
+                let _ = serve_lines(
+                    stream,
+                    shared.opts.poll_interval,
+                    shared.opts.io_timeout,
+                    || shared.draining(),
+                    |line| handle_line(line, &shared, &job_tx),
+                    |class| shared.metrics.record_error(class),
+                );
+            });
+        },
+    );
+    conns.wait_idle();
     // `job_tx` drops here — with every connection gone this was the last
     // sender, so the workers drain the queue and exit.
 }
@@ -472,10 +456,8 @@ fn run_acceptor(listener: TcpListener, shared: &Arc<Shared>, job_tx: mpsc::SyncS
 /// Refuses a connection over the cap: one `overloaded` line, then close.
 fn shed_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     shared.metrics.record_error(ErrorClass::Overloaded);
-    // The stream may inherit the listener's nonblocking mode; the write is
-    // best-effort either way, bounded so a hostile peer cannot stall the
+    // Best-effort write, bounded so a hostile peer cannot stall the
     // acceptor.
-    stream.set_nonblocking(false).ok();
     stream
         .set_write_timeout(Some(Duration::from_millis(500)))
         .ok();
@@ -491,18 +473,32 @@ fn shed_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.write_all(b"\n");
 }
 
-/// Reads newline-delimited requests off one connection until EOF, error,
-/// stall, or drain. Returns `Err` only on socket failures (the caller
-/// ignores it).
-fn serve_connection(
+/// What a connection's line handler answers.
+pub enum Disposition {
+    /// Write this response line and keep reading.
+    Respond(String),
+    /// Write this response line, then close the connection.
+    RespondAndClose(String),
+}
+
+/// Reads newline-delimited requests off one connection and writes back
+/// each answer of `on_line`, until EOF, a socket error, or `draining()` on
+/// an idle read tick (reads tick every `poll`). A frame past
+/// [`MAX_LINE_BYTES`] or a partial line older than `io_timeout` (slowloris)
+/// gets one error line, reported to `on_refused`, and the connection
+/// closes. Returns `Err` only on socket failures. The server's and the
+/// cluster router's connections both run this loop.
+pub fn serve_lines(
     mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    job_tx: &mpsc::SyncSender<Job>,
+    poll: Duration,
+    io_timeout: Duration,
+    draining: impl Fn() -> bool,
+    mut on_line: impl FnMut(&str) -> Disposition,
+    on_refused: impl Fn(ErrorClass),
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?; // may be inherited from the listener
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(shared.opts.poll_interval))?;
-    stream.set_write_timeout(Some(shared.opts.io_timeout))?;
+    stream.set_read_timeout(Some(poll))?;
+    stream.set_write_timeout(Some(io_timeout))?;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     // When the first byte of a request arrived (slowloris guard): cleared
@@ -520,7 +516,7 @@ fn serve_connection(
                 // a frame of MAX_LINE_BYTES parses, one byte more is a
                 // structured usage error regardless of how the bytes fell
                 // into read chunks.
-                shared.metrics.record_error(ErrorClass::Usage);
+                on_refused(ErrorClass::Usage);
                 let response = error_line(
                     None,
                     ErrorKind::Usage,
@@ -538,7 +534,7 @@ fn serve_connection(
             if line.is_empty() {
                 continue;
             }
-            match handle_line(line, shared, job_tx) {
+            match on_line(line) {
                 Disposition::Respond(response) => {
                     stream.write_all(response.as_bytes())?;
                     stream.write_all(b"\n")?;
@@ -554,7 +550,7 @@ fn serve_connection(
         }
         scanned = buf.len();
         if buf.len() > MAX_LINE_BYTES {
-            shared.metrics.record_error(ErrorClass::Usage);
+            on_refused(ErrorClass::Usage);
             let response = error_line(
                 None,
                 ErrorKind::Usage,
@@ -570,14 +566,14 @@ fn serve_connection(
         if buf.is_empty() {
             partial_since = None;
         } else if let Some(since) = partial_since {
-            if since.elapsed() >= shared.opts.io_timeout {
-                shared.metrics.record_error(ErrorClass::Timeout);
+            if since.elapsed() >= io_timeout {
+                on_refused(ErrorClass::Timeout);
                 let response = error_line(
                     None,
                     ErrorKind::Timeout,
                     &format!(
                         "request incomplete after {:?}; closing stalled connection",
-                        shared.opts.io_timeout
+                        io_timeout
                     ),
                 );
                 let _ = stream.write_all(response.as_bytes());
@@ -597,18 +593,13 @@ fn serve_connection(
                 // Idle poll tick: leave once a drain starts and nothing is
                 // buffered (a partially received request is abandoned too —
                 // its sender can no longer get an answer anyway).
-                if shared.draining() {
+                if draining() {
                     return Ok(());
                 }
             }
             Err(e) => return Err(e),
         }
     }
-}
-
-enum Disposition {
-    Respond(String),
-    RespondAndClose(String),
 }
 
 fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>) -> Disposition {

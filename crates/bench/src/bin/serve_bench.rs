@@ -57,12 +57,15 @@ struct ServeBenchReport {
 }
 
 /// A mildly noisy 5-point kernel — representative modeling work without
-/// being trivially constant.
+/// being trivially constant. Each `salt` scales the values by its own
+/// factor, so distinct salts are distinct cache keys and every request
+/// models instead of hitting the result cache.
 fn bench_set(salt: u64) -> MeasurementSet {
     let mut set = MeasurementSet::new(1);
+    let scale = 1.0 + 1e-6 * salt as f64;
     for (i, &x) in [4.0f64, 8.0, 16.0, 32.0, 64.0].iter().enumerate() {
         let wiggle = 1.0 + 0.01 * ((salt as usize + i) % 5) as f64;
-        let y = (1.0 + 0.5 * x * x) * wiggle;
+        let y = (1.0 + 0.5 * x * x) * wiggle * scale;
         set.add_repetitions(&[x], &[y, y * 1.02, y * 0.98]);
     }
     set
@@ -123,7 +126,8 @@ fn run_scenario(
                     Client::connect(addr, Duration::from_secs(60)).expect("connect bench client");
                 let mut latencies = Vec::with_capacity(share);
                 for r in 0..share {
-                    let salt = (c * 131 + r) as u64;
+                    // Unique across clients, requests and batch members.
+                    let salt = ((r * clients + c) * kernels_per_request) as u64;
                     let sent = Instant::now();
                     let response = if kernels_per_request == 1 {
                         client.model(bench_set(salt), None, None)

@@ -18,12 +18,14 @@ use nrpm_linalg::ThreadBudget;
 use nrpm_nn::Network;
 use nrpm_registry::cache::JOURNAL_FILE;
 use nrpm_registry::checkpoints::VerifyIssue;
-use nrpm_registry::{hex16, CheckpointRegistry, Journal, ResultCache, SwapJournal};
+use nrpm_registry::rollout::{RolloutJournal, RolloutRecord, ROLLOUT_JOURNAL_FILE};
+use nrpm_registry::swap::{SwapRecord, SWAP_JOURNAL_FILE};
+use nrpm_registry::{hex16, CheckpointRegistry, RecordLog, ResultCache, SwapJournal};
 use nrpm_serve::adapt::AdaptOptions;
 use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -2010,7 +2012,8 @@ fn registry_stats(dir: &Path) -> Result<String, CliError> {
         let bytes = std::fs::metadata(&journal)
             .map_err(|e| in_dir(dir, e))?
             .len();
-        let report = Journal::<AdaptiveOutcome>::verify(&journal).map_err(|e| in_dir(dir, e))?;
+        let (_, report) =
+            RecordLog::<(u64, AdaptiveOutcome)>::read(&journal).map_err(|e| in_dir(dir, e))?;
         let _ = writeln!(
             out,
             "cache journal: {} records, {} bytes{}",
@@ -2028,9 +2031,39 @@ fn registry_stats(dir: &Path) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Scans the journal `file` under `dir` read-only as a log of `R` records,
+/// noting a torn tail or a file that is not a journal in `problems`.
+/// Returns the intact records (0 when the journal is absent).
+fn verify_journal<R: Serialize + Deserialize>(
+    dir: &Path,
+    file: &str,
+    problems: &mut Vec<String>,
+) -> usize {
+    let path = dir.join(file);
+    if !path.exists() {
+        return 0;
+    }
+    match RecordLog::<R>::read(&path) {
+        Ok((_, report)) => {
+            if report.repaired {
+                problems.push(format!(
+                    "{file}: torn tail, {} trailing bytes need truncation \
+                     (recovered on the next open)",
+                    report.truncated_bytes
+                ));
+            }
+            report.records
+        }
+        Err(e) => {
+            problems.push(format!("{file}: {e}"));
+            0
+        }
+    }
+}
+
 /// `nrpm registry verify`: read-only integrity sweep over checkpoint
-/// objects, refs, and the cache journal. Damage exits 4 without touching
-/// anything on disk.
+/// objects, refs, and the cache, swap and rollout journals. Damage exits 4
+/// without touching anything on disk.
 fn registry_verify(dir: &Path) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
     let outcome = registry.verify().map_err(|e| in_dir(dir, e))?;
@@ -2051,23 +2084,9 @@ fn registry_verify(dir: &Path) -> Result<String, CliError> {
             }
         })
         .collect();
-    let journal = dir.join(JOURNAL_FILE);
-    let mut cached = 0usize;
-    if journal.exists() {
-        match Journal::<AdaptiveOutcome>::verify(&journal) {
-            Ok(report) => {
-                cached = report.records;
-                if report.repaired {
-                    problems.push(format!(
-                        "cache journal: torn tail, {} trailing bytes need truncation \
-                         (recovered on the next open)",
-                        report.truncated_bytes
-                    ));
-                }
-            }
-            Err(e) => problems.push(format!("cache journal: {e}")),
-        }
-    }
+    let cached = verify_journal::<(u64, AdaptiveOutcome)>(dir, JOURNAL_FILE, &mut problems);
+    verify_journal::<SwapRecord>(dir, SWAP_JOURNAL_FILE, &mut problems);
+    verify_journal::<RolloutRecord>(dir, ROLLOUT_JOURNAL_FILE, &mut problems);
     if problems.is_empty() {
         Ok(format!(
             "registry clean: {} checkpoint(s) intact, {} cached outcome(s)\n",
@@ -2083,32 +2102,45 @@ fn registry_verify(dir: &Path) -> Result<String, CliError> {
 
 /// `nrpm registry gc`: drop checkpoints no ref points at and rewrite the
 /// cache journal down to its live entries. Checkpoints named by the swap
-/// journal — the serving one, the previous (rollback-target) one, and any
-/// pending swap's candidate — are pinned even without a ref, so a crash or
-/// rollback can never land on a collected hash.
+/// journal — the serving one, the previous (rollback-target) one, and both
+/// sides of any pending swap — and by the rollout journal — the last
+/// completed target and both sides of a pending rollout — are pinned even
+/// without a ref, so a crash, rollback or rollout recovery can never land
+/// on a collected hash.
 fn registry_gc(dir: &Path, cache_capacity: usize, dry_run: bool) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
+    let unreadable = |what: &str, e: nrpm_registry::JournalError| {
+        CliError::io(format!(
+            "{}: cannot read {what} journal: {e}",
+            dir.display()
+        ))
+    };
+    // Read-only scans: gc, and above all a dry run, must not even repair a
+    // journal's torn tail.
     let mut pins = std::collections::HashSet::new();
-    let mut journal_present = false;
-    if dir.join(nrpm_registry::swap::SWAP_JOURNAL_FILE).exists() {
-        let (journal, _recovery) = SwapJournal::open(dir).map_err(|e| {
-            CliError::io(format!("{}: cannot read swap journal: {e}", dir.display()))
-        })?;
-        pins = journal.live_hashes();
-        journal_present = true;
-    }
     let mut out = String::new();
-    if journal_present {
-        let _ = writeln!(out, "swap-journal pinned checkpoints: {}", pins.len());
-        if dry_run {
-            let mut pinned: Vec<u64> = pins.iter().copied().collect();
-            pinned.sort_unstable();
-            for hash in pinned {
-                let _ = writeln!(out, "pinned checkpoint {}", hex16(hash));
-            }
-        }
+    if dir.join(SWAP_JOURNAL_FILE).exists() {
+        let live = SwapJournal::read(dir)
+            .map_err(|e| unreadable("swap", e))?
+            .0
+            .live_hashes();
+        let _ = writeln!(out, "swap-journal pinned checkpoints: {}", live.len());
+        pins.extend(live);
+    }
+    if dir.join(ROLLOUT_JOURNAL_FILE).exists() {
+        let live = RolloutJournal::read(dir)
+            .map_err(|e| unreadable("rollout", e))?
+            .0
+            .live_hashes();
+        let _ = writeln!(out, "rollout-journal pinned checkpoints: {}", live.len());
+        pins.extend(live);
     }
     if dry_run {
+        let mut pinned: Vec<u64> = pins.iter().copied().collect();
+        pinned.sort_unstable();
+        for hash in pinned {
+            let _ = writeln!(out, "pinned checkpoint {}", hex16(hash));
+        }
         let doomed = registry.gc_plan(&pins).map_err(|e| in_dir(dir, e))?;
         for hash in &doomed {
             let _ = writeln!(out, "would remove unreferenced checkpoint {}", hex16(*hash));
@@ -2893,12 +2925,23 @@ mod tests {
         let serving = registry.put(&net(2)).unwrap();
         let previous = registry.put(&net(3)).unwrap();
         let stray = registry.put(&net(4)).unwrap();
+        // A rollout crashed mid-walk: its target is the referenced
+        // checkpoint, its incumbent is named only by the rollout journal.
+        let rollout_incumbent = registry.put(&net(5)).unwrap();
         {
             let (mut journal, _) = SwapJournal::open(&dir).unwrap();
             let seq = journal.begin(serving, previous).unwrap();
             journal.mark_validated(seq).unwrap();
             journal.commit(seq).unwrap();
+            let (mut rollouts, _) = RolloutJournal::open(&dir).unwrap();
+            let seq = rollouts.begin(referenced, rollout_incumbent).unwrap();
+            rollouts.record_shard(seq, 0).unwrap();
         }
+        // A crash tore the swap journal's tail: half of a fourth record.
+        let swaps = dir.join(SWAP_JOURNAL_FILE);
+        let mut torn = std::fs::read(&swaps).unwrap();
+        torn.extend_from_slice(&[64, 0, 0, 0, 1, 2, 3]);
+        std::fs::write(&swaps, &torn).unwrap();
 
         // A dry run names the doomed and pinned hashes but deletes nothing.
         let planned = registry_gc(&dir, 16, true).unwrap();
@@ -2916,8 +2959,17 @@ mod tests {
             )),
             "{planned}"
         );
+        assert!(
+            planned.contains(&format!("pinned checkpoint {}", hex16(rollout_incumbent))),
+            "{planned}"
+        );
         assert!(planned.contains("dry run; nothing deleted"), "{planned}");
         assert!(registry.get(stray).is_ok(), "dry run must not delete");
+        assert_eq!(
+            std::fs::read(&swaps).unwrap(),
+            torn,
+            "a dry run must not repair the swap journal"
+        );
 
         let swept = registry_gc(&dir, 16, false).unwrap();
         assert!(
@@ -2935,7 +2987,70 @@ mod tests {
             registry.get(previous).is_ok(),
             "rollback target collected — a post-gc rollback would have nothing to restore"
         );
+        assert!(
+            swept.contains("rollout-journal pinned checkpoints: 2"),
+            "{swept}"
+        );
+        assert!(
+            registry.get(rollout_incumbent).is_ok(),
+            "a pending rollout's incumbent collected"
+        );
         assert!(registry.get(stray).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `registry verify` scans the swap and rollout journals with the same
+    /// read-only check as the cache journal: a torn tail exits 4 and stays
+    /// on disk, and a log in the old line format is not a journal.
+    #[test]
+    fn verify_checks_the_swap_and_rollout_journals() {
+        let dir = std::env::temp_dir().join(format!(
+            "nrpm_cli_verify_journals_test_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointRegistry::open(&dir).unwrap();
+        {
+            let (mut swaps, _) = SwapJournal::open(&dir).unwrap();
+            let seq = swaps.begin(0xA, 0xB).unwrap();
+            swaps.commit(seq).unwrap();
+            let (mut rollouts, _) = RolloutJournal::open(&dir).unwrap();
+            rollouts.begin(0xA, 0xB).unwrap();
+        }
+        assert!(registry_verify(&dir).unwrap().contains("registry clean"));
+
+        for file in [SWAP_JOURNAL_FILE, ROLLOUT_JOURNAL_FILE] {
+            let path = dir.join(file);
+            let clean = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &clean[..clean.len() - 3]).unwrap();
+            let err = registry_verify(&dir).unwrap_err();
+            assert_eq!(err.code, 4, "{}", err.message);
+            assert!(
+                err.message.contains(&format!("{file}: torn tail")),
+                "{}",
+                err.message
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                &clean[..clean.len() - 3],
+                "verify must not repair {file}"
+            );
+
+            std::fs::write(
+                &path,
+                b"0 begin 000000000000000a 000000000000000b 0\t0123\n",
+            )
+            .unwrap();
+            let err = registry_verify(&dir).unwrap_err();
+            assert_eq!(err.code, 4, "{}", err.message);
+            assert!(
+                err.message.contains("not an nrpm journal"),
+                "{}",
+                err.message
+            );
+            std::fs::write(&path, &clean).unwrap();
+        }
+        assert!(registry_verify(&dir).unwrap().contains("registry clean"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

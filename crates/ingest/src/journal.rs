@@ -1,14 +1,14 @@
 //! The ingest offset journal: crash-safe resume bookkeeping for the
 //! streaming ingester.
 //!
-//! The ingester's durable state is one [`IngestCheckpoint`] — where to
+//! The ingester's durable state is one [`IngestCheckpoint`]: where to
 //! resume reading the followed log (`resume_offset`), which lines were
 //! already fully applied (`applied_line`), the parser context in force at
 //! the resume point, and the cumulative counters. Each checkpoint is one
-//! appended line — `json payload TAB fnv16 checksum` — fsynced, exactly
-//! like the registry's [`SwapJournal`](nrpm_registry::SwapJournal): a crash
-//! leaves at worst one torn trailing line, which [`IngestJournal::open`]
-//! truncates away. Recovery then reads the *last* intact checkpoint.
+//! fsynced record of `ingest.log`, a [`FoldLog`] in the frame format of
+//! [`nrpm_registry::journal`]. Its fold is "the last checkpoint wins", so
+//! after a crash truncates a torn record, recovery resumes from the last
+//! intact checkpoint.
 //!
 //! # Exactly-once accounting
 //!
@@ -23,12 +23,10 @@
 //! pre-crash counts were never journaled.
 
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use nrpm_core::fingerprint::bytes_hash;
-use nrpm_registry::{hex16, parse_hex16};
+use nrpm_registry::journal::{Fold, FoldLog, RecoveryReport};
+pub use nrpm_registry::JournalError;
 
 /// File name of the ingest journal inside an ingest state directory.
 pub const INGEST_JOURNAL_FILE: &str = "ingest.log";
@@ -106,48 +104,29 @@ pub struct IngestCheckpoint {
 /// What [`IngestJournal::open`] found and repaired.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestRecovery {
-    /// Intact checkpoints read from the journal.
-    pub checkpoints_read: usize,
-    /// Trailing bytes truncated because the last line was torn or failed
-    /// its checksum.
-    pub truncated_bytes: u64,
+    /// Checkpoints read back and the torn tail truncated.
+    pub log: RecoveryReport,
     /// The checkpoint to resume from, when any survived.
     pub resume: Option<IngestCheckpoint>,
 }
 
-/// Errors of the ingest journal.
-#[derive(Debug)]
-pub enum JournalError {
-    /// An underlying filesystem operation failed.
-    Io(std::io::Error),
-    /// A checkpoint failed to serialize (should be unreachable).
-    Serialize(String),
-}
+/// The journal's fold: the last checkpoint wins.
+#[derive(Debug, Default)]
+struct Latest(Option<IngestCheckpoint>);
 
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "ingest journal I/O error: {e}"),
-            JournalError::Serialize(e) => write!(f, "ingest journal serialize error: {e}"),
-        }
-    }
-}
+impl Fold for Latest {
+    const FILE: &'static str = INGEST_JOURNAL_FILE;
+    type Record = IngestCheckpoint;
 
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
+    fn apply(&mut self, checkpoint: &IngestCheckpoint) {
+        self.0 = Some(checkpoint.clone());
     }
 }
 
 /// The append-only ingest checkpoint journal.
 #[derive(Debug)]
 pub struct IngestJournal {
-    path: PathBuf,
-    file: File,
-    last: Option<IngestCheckpoint>,
-    appended: usize,
+    log: FoldLog<Latest>,
 }
 
 impl IngestJournal {
@@ -155,98 +134,45 @@ impl IngestJournal {
     /// and compacting history down to the last checkpoint when the file has
     /// grown past the threshold. Returns the journal and what recovery saw.
     pub fn open(dir: &Path) -> Result<(IngestJournal, IngestRecovery), JournalError> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(INGEST_JOURNAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-
-        let mut contents = String::new();
-        file.read_to_string(&mut contents)?;
-        let mut recovery = IngestRecovery::default();
-        let mut valid_end = 0u64;
-        for line in contents.split_inclusive('\n') {
-            let Some(cp) = parse_line(line.trim_end_matches('\n')) else {
-                break;
-            };
-            recovery.checkpoints_read += 1;
-            recovery.resume = Some(cp);
-            valid_end += line.len() as u64;
-        }
-        let total = contents.len() as u64;
-        if valid_end < total {
-            recovery.truncated_bytes = total - valid_end;
-            file.set_len(valid_end)?;
-            file.seek(SeekFrom::End(0))?;
-        }
-
-        let mut journal = IngestJournal {
-            path,
-            file,
-            last: recovery.resume.clone(),
-            appended: 0,
-        };
-        if recovery.checkpoints_read > COMPACT_THRESHOLD {
+        let (log, report) = FoldLog::open(dir)?;
+        let mut journal = IngestJournal { log };
+        if report.records > COMPACT_THRESHOLD {
             journal.compact()?;
         }
+        let resume = journal.latest().cloned();
+        let recovery = IngestRecovery {
+            log: report,
+            resume,
+        };
         Ok((journal, recovery))
     }
 
     /// Appends one checkpoint, fsynced before returning.
     pub fn checkpoint(&mut self, cp: &IngestCheckpoint) -> Result<(), JournalError> {
-        let payload =
-            serde_json::to_string(cp).map_err(|e| JournalError::Serialize(e.to_string()))?;
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
-        self.last = Some(cp.clone());
-        self.appended += 1;
-        Ok(())
+        self.log.append(cp)
     }
 
     /// The most recent checkpoint (journaled before or during this run).
     pub fn latest(&self) -> Option<&IngestCheckpoint> {
-        self.last.as_ref()
+        self.log.0.as_ref()
     }
 
     /// Rewrites the journal to hold only the last checkpoint (tmp + rename,
     /// so a crash mid-compaction leaves either the old or the new file).
     pub fn compact(&mut self) -> Result<(), JournalError> {
-        let Some(last) = self.last.clone() else {
-            return Ok(());
-        };
-        let payload =
-            serde_json::to_string(&last).map_err(|e| JournalError::Serialize(e.to_string()))?;
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(line.as_bytes())?;
-            f.sync_data()?;
+        match self.latest().cloned() {
+            Some(last) => self.log.rewrite(&[last]),
+            None => Ok(()),
         }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        Ok(())
     }
-}
-
-/// Parses one `payload TAB fnv16` journal line, `None` on any damage.
-fn parse_line(line: &str) -> Option<IngestCheckpoint> {
-    let (payload, checksum) = line.rsplit_once('\t')?;
-    if parse_hex16(checksum)? != bytes_hash(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nrpm_registry::journal::for_each_crash;
+    use nrpm_registry::RecordLog;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -280,13 +206,13 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let (mut j, rec) = IngestJournal::open(&dir).unwrap();
-            assert_eq!(rec.checkpoints_read, 0);
+            assert_eq!(rec.log.records, 0);
             j.checkpoint(&cp(100, 5)).unwrap();
             j.checkpoint(&cp(250, 12)).unwrap();
         }
         let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 2);
-        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(rec.log.records, 2);
+        assert_eq!(rec.log.truncated_bytes, 0);
         assert_eq!(j.latest(), Some(&cp(250, 12)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -298,18 +224,22 @@ mod tests {
             let (mut j, _) = IngestJournal::open(&dir).unwrap();
             j.checkpoint(&cp(100, 5)).unwrap();
         }
-        // Simulate a crash mid-append: garbage half-line at the end.
+        // Simulate a crash mid-append: half a frame at the end.
         let path = dir.join(INGEST_JOURNAL_FILE);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"resume_offset\":999").unwrap();
-        drop(f);
+        let intact = std::fs::read(&path).unwrap();
+        let torn = [
+            &intact[..],
+            &[200, 0, 0, 0, 9, 9],
+            b"{\"resume_offset\":999",
+        ]
+        .concat();
+        std::fs::write(&path, torn).unwrap();
         let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 1);
-        assert!(rec.truncated_bytes > 0);
+        assert_eq!(rec.log.records, 1);
+        assert!(rec.log.truncated_bytes > 0);
         assert_eq!(j.latest().unwrap().resume_offset, 100);
         // The torn bytes are gone from disk.
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(contents.ends_with('\n'));
+        assert_eq!(std::fs::read(&path).unwrap(), intact);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -322,12 +252,17 @@ mod tests {
             j.checkpoint(&cp(200, 9)).unwrap();
         }
         let path = dir.join(INGEST_JOURNAL_FILE);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        // Flip one payload byte of the second line, keeping its checksum.
-        let flipped = contents.replacen("\"resume_offset\":200", "\"resume_offset\":201", 1);
-        std::fs::write(&path, flipped).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Change one payload byte of the second record, keeping its checksum.
+        let needle = b"\"resume_offset\":200";
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap();
+        bytes[at + needle.len() - 1] = b'1';
+        std::fs::write(&path, bytes).unwrap();
         let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 1, "damaged line rejected");
+        assert_eq!(rec.log.records, 1, "damaged record rejected");
         assert_eq!(j.latest().unwrap().resume_offset, 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -340,16 +275,74 @@ mod tests {
             j.checkpoint(&cp(i * 10, i + 1)).unwrap();
         }
         j.compact().unwrap();
-        let contents = std::fs::read_to_string(dir.join(INGEST_JOURNAL_FILE)).unwrap();
-        assert_eq!(contents.lines().count(), 1);
+        let path = dir.join(INGEST_JOURNAL_FILE);
+        let (records, _) = RecordLog::<IngestCheckpoint>::read(&path).unwrap();
+        assert_eq!(records, vec![cp(90, 10)]);
         let (j2, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 1);
+        assert_eq!(rec.log.records, 1);
         assert_eq!(j2.latest().unwrap().resume_offset, 90);
         // The journal still accepts appends after compaction.
         let mut j3 = j;
         j3.checkpoint(&cp(500, 20)).unwrap();
         let (_, rec) = IngestJournal::open(&dir).unwrap();
         assert_eq!(rec.resume.unwrap().resume_offset, 500);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A final record that lost its last byte is dropped on reopen, and the
+    /// next checkpoint is appended after the intact ones rather than glued
+    /// onto the torn bytes.
+    #[test]
+    fn a_checkpoint_appended_after_a_tail_torn_before_its_newline_survives() {
+        let dir = tmpdir("newline");
+        {
+            let (mut j, _) = IngestJournal::open(&dir).unwrap();
+            j.checkpoint(&cp(100, 5)).unwrap();
+            j.checkpoint(&cp(200, 9)).unwrap();
+        }
+        let path = dir.join(INGEST_JOURNAL_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        {
+            let (mut j, _) = IngestJournal::open(&dir).unwrap();
+            j.checkpoint(&cp(300, 14)).unwrap();
+        }
+        let (j, _) = IngestJournal::open(&dir).unwrap();
+        assert_eq!(j.latest().unwrap().resume_offset, 300);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Truncation at every offset and a flipped byte at every offset
+    /// resume from the last checkpoint before the damage, and the journal
+    /// goes on from there.
+    #[test]
+    fn every_crash_point_recovers_the_fold_of_a_prefix() {
+        let dir = tmpdir("crash");
+        let path = dir.join(INGEST_JOURNAL_FILE);
+        let checkpoints: Vec<IngestCheckpoint> = (1..=5).map(|i| cp(i * 100, i * 4)).collect();
+        let mut ends = Vec::new();
+        {
+            let (mut j, _) = IngestJournal::open(&dir).unwrap();
+            for checkpoint in &checkpoints {
+                j.checkpoint(checkpoint).unwrap();
+                ends.push(std::fs::metadata(&path).unwrap().len());
+            }
+        }
+        let image = std::fs::read(&path).unwrap();
+        let case = dir.join("case");
+        std::fs::create_dir_all(&case).unwrap();
+        for_each_crash(&image, &ends, |damaged, survivors| {
+            std::fs::write(case.join(INGEST_JOURNAL_FILE), damaged).unwrap();
+            let (mut j, rec) = IngestJournal::open(&case).unwrap();
+            let expected = survivors.checked_sub(1).map(|i| &checkpoints[i]);
+            assert_eq!(j.latest(), expected);
+            assert_eq!(rec.resume.as_ref(), expected);
+            j.checkpoint(&cp(999, 77)).unwrap();
+            drop(j);
+            let (j, rec) = IngestJournal::open(&case).unwrap();
+            assert_eq!(j.latest(), Some(&cp(999, 77)));
+            assert_eq!(rec.log.records, survivors + 1);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

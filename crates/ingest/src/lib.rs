@@ -14,10 +14,11 @@
 //! two-phase journal.
 //!
 //! Ingestion itself is crash-safe: the engine journals its resume offset,
-//! parser context, and counters after every batch ([`IngestJournal`]), and
-//! a restart replays exactly the records the crashed process still held —
-//! no record is counted twice, none is lost (see [`journal`] for the
-//! argument, and `tests/resume.rs` for the kill-and-restart proof).
+//! parser context, and counters after every batch ([`IngestJournal`], an
+//! fsynced [`nrpm_registry::FoldLog`] in the registry's one record-log
+//! format), and a restart replays exactly the records the crashed process
+//! still held — no record is counted twice, none is lost (see [`journal`]
+//! for the argument, and `tests/resume.rs` for the kill-and-restart proof).
 //!
 //! The module layout mirrors the pipeline: [`source`] (file follow with
 //! rotation detection, TCP push), [`window`] (sliding windows, watermarks,

@@ -1,19 +1,20 @@
 //! The memoized result cache: a [`ShardedLru`] front with an optional
-//! [`Journal`] behind it.
+//! [`RecordLog`] of `(key, value)` records behind it.
 //!
 //! Every insert goes to the LRU and (when persistence is on) appends to
 //! the journal; opening a cache with the same directory replays the
 //! journal into the LRU, so results survive restarts and `kill -9`. The
 //! journal grows append-only and is compacted down to the LRU's resident
 //! set once it exceeds a multiple of capacity, keeping disk usage
-//! proportional to the cache, not to its history.
+//! proportional to the cache, not to its history. Inserts are flushed but
+//! not fsynced: a power cut may lose the last few, which are recomputable.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::journal::{Journal, JournalError, RecoveryReport};
+use crate::journal::{JournalError, RecordLog, RecoveryReport};
 use crate::lru::{LruStats, ShardedLru};
 
 /// File name of the cache journal inside its directory.
@@ -38,7 +39,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ResultCache<V> {
     lru: ShardedLru<V>,
-    journal: Option<Mutex<Journal<V>>>,
+    journal: Option<Mutex<RecordLog<(u64, V)>>>,
     recovery: RecoveryReport,
 }
 
@@ -60,7 +61,7 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
         shards: usize,
         dir: impl AsRef<Path>,
     ) -> Result<Self, JournalError> {
-        let (journal, entries, recovery) = Journal::open(dir.as_ref().join(JOURNAL_FILE))?;
+        let (journal, entries, recovery) = RecordLog::open(dir.as_ref().join(JOURNAL_FILE))?;
         let lru = ShardedLru::new(capacity, shards);
         for (key, value) in entries {
             lru.insert(key, value);
@@ -85,11 +86,9 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
             let mut journal = journal
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            journal.append(key, &value)?;
+            journal.append(&(key, value))?;
             if journal.records() > COMPACT_FACTOR * self.lru.capacity().max(1) {
-                let entries = self.lru.entries();
-                let refs: Vec<(u64, &V)> = entries.iter().map(|(k, v)| (*k, v)).collect();
-                journal.compact(&refs)?;
+                journal.rewrite(&self.lru.entries())?;
             }
         }
         Ok(())
@@ -99,12 +98,10 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
     /// memory-only).
     pub fn compact(&self) -> Result<(), JournalError> {
         if let Some(journal) = &self.journal {
-            let entries = self.lru.entries();
-            let refs: Vec<(u64, &V)> = entries.iter().map(|(k, v)| (*k, v)).collect();
             journal
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .compact(&refs)?;
+                .rewrite(&self.lru.entries())?;
         }
         Ok(())
     }
@@ -125,16 +122,6 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
         self.journal.is_some()
     }
 
-    /// The journal path, when persistent.
-    pub fn journal_path(&self) -> Option<PathBuf> {
-        self.journal.as_ref().map(|j| {
-            j.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .path()
-                .to_path_buf()
-        })
-    }
-
     /// Counters, occupancy, journal size, and what recovery found.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -152,6 +139,7 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -1,37 +1,45 @@
-//! A crash-safe, append-only journal of `fingerprint → value` records.
-//!
-//! ## On-disk format
+//! The workspace's one crash-safe record log, and the folds built on it.
 //!
 //! ```text
-//! [8-byte magic "NRPMJRN1"]
-//! [record]*
-//!
-//! record := [u32 payload_len LE] [u64 fnv1a64(payload) LE] [payload]
-//! payload := JSON `[key, value]`
+//! [8-byte magic "NRPMJRN1"] [record]*
+//! record := [u32 payload_len LE] [u64 fnv1a64(payload) LE] [JSON payload]
 //! ```
 //!
-//! The payload is JSON so journals are inspectable with standard tools
-//! (`tail -c +9 cache.journal | …`), while the binary frame gives exact
-//! lengths and a checksum without trusting the payload's own syntax.
+//! The JSON payload keeps logs inspectable (`tail -c +9 cache.journal`);
+//! the frame gives exact lengths and a checksum. Four logs share it: the
+//! result cache (`cache.journal`, records `[key, value]`), the swap
+//! journal (`swaps.log`), the rollout journal (`rollouts.log`) and the
+//! ingest resume journal (`ingest.log`). A file that does not start with
+//! the magic, such as an older line-per-record log, is refused with
+//! [`JournalError::NotAJournal`] and never written.
 //!
-//! ## Crash-recovery contract
+//! **Recovery.** A crash mid-append can leave a torn tail. One scan reads
+//! the file front to back and stops at the first frame that is short, has
+//! an implausible length, fails its checksum or no longer decodes; the
+//! records before it are the log, and everything from it on is dropped
+//! (after a bad length prefix nothing can be trusted, so truncation, not
+//! skipping, is the only safe repair). [`RecordLog::open`] truncates and
+//! `fdatasync`s, so a crash during recovery leaves the same tail to find
+//! again; [`RecordLog::read`] reports the same prefix and writes nothing.
+//! A file that is a strict prefix of the magic is a creation torn before
+//! the magic landed, and recovers as an empty log.
 //!
-//! Appends are buffered-write + flush; a crash (or `kill -9`) can leave a
-//! *torn tail*: a final record whose frame or payload is incomplete. On
-//! [`Journal::open`] the file is scanned front to back and the journal is
-//! truncated at the first record that fails validation — every record
-//! before it is returned intact, everything from it on is dropped. Framing
-//! is length-prefixed, so nothing after a bad record can be trusted;
-//! truncation (not skipping) is the only safe repair. The repair itself is
-//! an `ftruncate`, so a crash *during recovery* at worst leaves the same
-//! torn tail to be found again.
+//! **Durability.** [`RecordLog::append`] writes and flushes without an
+//! fsync: the result cache may lose its last inserts to a power cut, and
+//! they are recomputable. [`FoldLog::append`] fsyncs each record, since the
+//! swap, rollout and ingest journals must not forget a record they acted
+//! on. [`RecordLog::rewrite`] fsyncs a temp file and renames it over the
+//! log, so a reader never sees a half-rewritten file.
 //!
-//! Compaction rewrites the live set into a temp file in the same directory
-//! and atomically renames it over the journal, so readers never observe a
-//! partially compacted file.
+//! **Folds.** A [`Fold`] is the state a log's records describe. [`FoldLog`]
+//! applies the same [`Fold::apply`] at open and on every append, so the
+//! state after recovery is the fold of the surviving prefix by
+//! construction.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 use nrpm_core::fingerprint::bytes_hash;
@@ -45,17 +53,17 @@ const FRAME_BYTES: usize = 12;
 
 /// Upper bound on a single record's payload; a length prefix beyond this is
 /// treated as corruption rather than an allocation request.
-const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
+const MAX_PAYLOAD_BYTES: usize = 64 * 1024 * 1024;
 
-/// Why [`Journal`] operations fail.
+/// Why a log operation fails.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Underlying filesystem failure.
+    /// Underlying filesystem failure, or a request the log's state refuses.
     Io(std::io::Error),
     /// The file exists but does not start with the journal magic — refusing
     /// to append to (or truncate!) something that is not a journal.
     NotAJournal(PathBuf),
-    /// A value failed to serialize or deserialize.
+    /// A record failed to serialize.
     Codec(String),
 }
 
@@ -73,79 +81,111 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+/// A request the log's state refuses, e.g. an unknown sequence number.
+pub(crate) fn refused(message: String) -> JournalError {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, message).into()
+}
+
 impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {
         JournalError::Io(e)
     }
 }
 
-/// What [`Journal::open`] found and did while replaying an existing file.
+impl From<JournalError> for std::io::Error {
+    fn from(e: JournalError) -> Self {
+        match e {
+            JournalError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
+/// What a scan found: the records it kept and the bytes a repair drops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records replayed intact.
     pub records: usize,
-    /// Bytes dropped from a torn or corrupt tail (0 for a clean file).
+    /// Bytes of torn or corrupt tail (0 for a clean file).
     pub truncated_bytes: u64,
-    /// Whether a repair truncation was performed.
+    /// Whether there was a tail to truncate: [`RecordLog::open`] truncated
+    /// it, [`RecordLog::read`] left it in place.
     pub repaired: bool,
 }
 
-/// Scan outcome of one record frame.
-enum Frame {
-    Good { payload_end: u64, payload: Vec<u8> },
-    Bad,
-    End,
-}
-
-fn scan_frame(bytes: &[u8], offset: usize) -> Frame {
-    let remaining = &bytes[offset..];
-    if remaining.is_empty() {
-        return Frame::End;
-    }
-    if remaining.len() < FRAME_BYTES {
-        return Frame::Bad; // torn frame header
-    }
-    let len = u32::from_le_bytes(remaining[0..4].try_into().unwrap());
+/// Decodes the frame at the start of `rest`: the record and the frame's
+/// length, or `None` when the frame is torn, corrupt or undecodable.
+fn frame<R: Deserialize>(rest: &[u8]) -> Option<(R, usize)> {
+    let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+    let checksum = u64::from_le_bytes(rest.get(4..FRAME_BYTES)?.try_into().ok()?);
     if len > MAX_PAYLOAD_BYTES {
-        return Frame::Bad; // implausible length ⇒ corrupt frame
+        return None;
     }
-    let checksum = u64::from_le_bytes(remaining[4..12].try_into().unwrap());
-    let len = len as usize;
-    if remaining.len() < FRAME_BYTES + len {
-        return Frame::Bad; // torn payload
-    }
-    let payload = &remaining[FRAME_BYTES..FRAME_BYTES + len];
+    let payload = rest.get(FRAME_BYTES..FRAME_BYTES + len)?;
     if bytes_hash(payload) != checksum {
-        return Frame::Bad; // bit rot or interleaved torn write
+        return None;
     }
-    Frame::Good {
-        payload_end: (offset + FRAME_BYTES + len) as u64,
-        payload: payload.to_vec(),
+    let record = serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
+    Some((record, FRAME_BYTES + len))
+}
+
+/// The one scan: the records of `bytes`' longest valid prefix and the
+/// offset where that prefix ends (0 for a creation torn inside the magic).
+fn scan<R: Deserialize>(bytes: &[u8], path: &Path) -> Result<(Vec<R>, u64), JournalError> {
+    if bytes.len() < MAGIC.len() && MAGIC.starts_with(bytes) {
+        return Ok((Vec::new(), 0));
+    }
+    if !bytes.starts_with(MAGIC) {
+        return Err(JournalError::NotAJournal(path.to_path_buf()));
+    }
+    let mut records = Vec::new();
+    let mut end = MAGIC.len();
+    while let Some((record, len)) = frame(&bytes[end..]) {
+        records.push(record);
+        end += len;
+    }
+    Ok((records, end as u64))
+}
+
+fn report(records: usize, len: usize, good_end: u64) -> RecoveryReport {
+    let truncated_bytes = len as u64 - good_end;
+    RecoveryReport {
+        records,
+        truncated_bytes,
+        repaired: truncated_bytes > 0,
     }
 }
 
-/// An append-only journal of `(u64, V)` records. See the [module
-/// docs](self) for the format and crash-recovery contract.
+fn write_frame<R: Serialize>(out: &mut impl Write, record: &R) -> Result<(), JournalError> {
+    let payload = serde_json::to_string(record).map_err(|e| JournalError::Codec(e.to_string()))?;
+    let payload = payload.as_bytes();
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l as usize <= MAX_PAYLOAD_BYTES)
+        .ok_or_else(|| JournalError::Codec("record payload too large".into()))?;
+    out.write_all(&len.to_le_bytes())?;
+    out.write_all(&bytes_hash(payload).to_le_bytes())?;
+    out.write_all(payload)?;
+    Ok(())
+}
+
+/// An append-only log of `R` records. See the [module docs](self) for the
+/// format and crash-recovery contract.
 #[derive(Debug)]
-pub struct Journal<V> {
+pub struct RecordLog<R> {
     path: PathBuf,
     writer: BufWriter<File>,
     records: usize,
-    _marker: std::marker::PhantomData<V>,
+    _record: PhantomData<R>,
 }
 
-impl<V: Serialize + Deserialize> Journal<V> {
-    /// Opens (creating if absent) the journal at `path`, replaying every
-    /// intact record and repairing a torn tail in place.
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        path: impl Into<PathBuf>,
-    ) -> Result<(Self, Vec<(u64, V)>, RecoveryReport), JournalError> {
+impl<R: Serialize + Deserialize> RecordLog<R> {
+    /// Opens (creating if absent) the log at `path`, replaying every intact
+    /// record and truncating a torn tail in place.
+    pub fn open(path: impl Into<PathBuf>) -> Result<(Self, Vec<R>, RecoveryReport), JournalError> {
         let path = path.into();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
         }
         let mut file = OpenOptions::new()
             .read(true)
@@ -153,200 +193,159 @@ impl<V: Serialize + Deserialize> Journal<V> {
             .create(true)
             .truncate(false)
             .open(&path)?;
-
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-
-        if bytes.is_empty() {
-            file.write_all(MAGIC)?;
-            file.flush()?;
-            return Ok((
-                Journal {
-                    path,
-                    writer: BufWriter::new(file),
-                    records: 0,
-                    _marker: std::marker::PhantomData,
-                },
-                Vec::new(),
-                RecoveryReport::default(),
-            ));
-        }
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::NotAJournal(path));
-        }
-
-        let mut entries = Vec::new();
-        let mut good_end = MAGIC.len() as u64;
-        let mut repaired = false;
-        let mut offset = MAGIC.len();
-        loop {
-            match scan_frame(&bytes, offset) {
-                Frame::End => break,
-                Frame::Bad => {
-                    repaired = true;
-                    break;
-                }
-                Frame::Good {
-                    payload_end,
-                    payload,
-                } => {
-                    // A record that frames correctly but no longer decodes
-                    // (e.g. the value schema changed) also ends the trusted
-                    // prefix — same repair as a torn tail.
-                    let text = match std::str::from_utf8(&payload) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            repaired = true;
-                            break;
-                        }
-                    };
-                    match serde_json::from_str::<(u64, V)>(text) {
-                        Ok(entry) => entries.push(entry),
-                        Err(_) => {
-                            repaired = true;
-                            break;
-                        }
-                    }
-                    good_end = payload_end;
-                    offset = payload_end as usize;
-                }
-            }
-        }
-
-        let truncated_bytes = bytes.len() as u64 - good_end;
-        if repaired {
+        let (records, good_end) = scan(&bytes, &path)?;
+        let report = report(records.len(), bytes.len(), good_end);
+        if report.repaired {
             file.set_len(good_end)?;
+            file.sync_data()?;
         }
         file.seek(SeekFrom::Start(good_end))?;
-
-        let report = RecoveryReport {
-            records: entries.len(),
-            truncated_bytes: if repaired { truncated_bytes } else { 0 },
-            repaired,
+        if good_end == 0 {
+            file.write_all(MAGIC)?;
+        }
+        let log = RecordLog {
+            path,
+            writer: BufWriter::new(file),
+            records: records.len(),
+            _record: PhantomData,
         };
-        Ok((
-            Journal {
-                path,
-                writer: BufWriter::new(file),
-                records: entries.len(),
-                _marker: std::marker::PhantomData,
-            },
-            entries,
-            report,
-        ))
+        Ok((log, records, report))
     }
 
-    /// Appends one record and flushes it to the OS.
-    pub fn append(&mut self, key: u64, value: &V) -> Result<(), JournalError> {
-        let payload =
-            serde_json::to_string(&(key, value)).map_err(|e| JournalError::Codec(e.to_string()))?;
-        let payload = payload.as_bytes();
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_PAYLOAD_BYTES)
-            .ok_or_else(|| JournalError::Codec("record payload too large".into()))?;
-        self.writer.write_all(&len.to_le_bytes())?;
-        self.writer.write_all(&bytes_hash(payload).to_le_bytes())?;
-        self.writer.write_all(payload)?;
+    /// Reads the log at `path` without writing to it: the records `open`
+    /// would replay, and the tail it would truncate.
+    pub fn read(path: impl AsRef<Path>) -> Result<(Vec<R>, RecoveryReport), JournalError> {
+        let path = path.as_ref();
+        let bytes = std::fs::read(path)?;
+        let (records, good_end) = scan(&bytes, path)?;
+        let report = report(records.len(), bytes.len(), good_end);
+        Ok((records, report))
+    }
+
+    /// Appends one record and flushes it to the OS (no fsync; see
+    /// [`Self::sync`]).
+    pub fn append(&mut self, record: &R) -> Result<(), JournalError> {
+        write_frame(&mut self.writer, record)?;
         self.writer.flush()?;
         self.records += 1;
         Ok(())
     }
 
-    /// Rewrites the journal to contain exactly `entries`, via a temp file
-    /// and an atomic rename. Dropped records (evicted or superseded keys)
-    /// are how the journal shrinks.
-    pub fn compact(&mut self, entries: &[(u64, &V)]) -> Result<(), JournalError> {
-        let tmp_path = self.path.with_extension("journal.tmp");
-        {
-            let mut tmp = BufWriter::new(File::create(&tmp_path)?);
-            tmp.write_all(MAGIC)?;
-            for (key, value) in entries {
-                let payload = serde_json::to_string(&(*key, *value))
-                    .map_err(|e| JournalError::Codec(e.to_string()))?;
-                let payload = payload.as_bytes();
-                tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
-                tmp.write_all(&bytes_hash(payload).to_le_bytes())?;
-                tmp.write_all(payload)?;
-            }
-            tmp.flush()?;
-            tmp.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        // The old handle still points at the unlinked pre-compaction file;
-        // reopen in append position on the new one.
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.writer = BufWriter::new(file);
-        self.records = entries.len();
-        Ok(())
-    }
-
-    /// Forces buffered appends and file metadata to stable storage.
+    /// Forces appended records to stable storage.
     pub fn sync(&mut self) -> Result<(), JournalError> {
         self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
+        Ok(self.writer.get_ref().sync_data()?)
+    }
+
+    /// Rewrites the log to hold exactly `records`, via an fsynced temp file
+    /// and an atomic rename. Dropping superseded records is how a log
+    /// shrinks.
+    pub fn rewrite(&mut self, records: &[R]) -> Result<(), JournalError> {
+        let mut tmp_path = self.path.clone().into_os_string();
+        tmp_path.push(".tmp");
+        let mut tmp = BufWriter::new(File::create(&tmp_path)?);
+        tmp.write_all(MAGIC)?;
+        for record in records {
+            write_frame(&mut tmp, record)?;
+        }
+        tmp.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp_path, &self.path)?;
+        // The old handle still points at the unlinked pre-rewrite file.
+        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
+        self.records = records.len();
         Ok(())
     }
 
-    /// Records appended or replayed through this handle (pre-compaction
-    /// duplicates included).
+    /// Records replayed or appended through this handle since the last
+    /// rewrite.
     pub fn records(&self) -> usize {
         self.records
     }
+}
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+/// The state a log's records describe, rebuilt by applying them in order.
+pub trait Fold: Default {
+    /// File name of the log inside its directory.
+    const FILE: &'static str;
+
+    /// The record type the log holds.
+    type Record: Serialize + Deserialize;
+
+    /// Applies one record.
+    fn apply(&mut self, record: &Self::Record);
+}
+
+fn fold<S: Fold>(records: &[S::Record]) -> S {
+    let mut state = S::default();
+    records.iter().for_each(|record| state.apply(record));
+    state
+}
+
+/// A [`RecordLog`] together with the [`Fold`] of its records, which it
+/// dereferences to. Every append is fsynced.
+#[derive(Debug)]
+pub struct FoldLog<S: Fold> {
+    log: RecordLog<S::Record>,
+    state: S,
+}
+
+impl<S: Fold> FoldLog<S> {
+    /// Opens (creating if absent) the log [`Fold::FILE`] under `dir`,
+    /// truncating a torn tail, and folds the records that survive.
+    pub fn open(dir: impl AsRef<Path>) -> Result<(Self, RecoveryReport), JournalError> {
+        let (log, records, report) = RecordLog::open(dir.as_ref().join(S::FILE))?;
+        let state = fold(&records);
+        Ok((FoldLog { log, state }, report))
     }
 
-    /// Scans the journal at `path` read-only: replays every record exactly
-    /// like [`Journal::open`] but never repairs. The `repaired` flag in the
-    /// returned report means "a repair *would* truncate `truncated_bytes`".
-    pub fn verify(path: impl AsRef<Path>) -> Result<RecoveryReport, JournalError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::NotAJournal(path.to_path_buf()));
-        }
-        let mut records = 0usize;
-        let mut good_end = MAGIC.len() as u64;
-        let mut damaged = false;
-        let mut offset = MAGIC.len();
-        loop {
-            match scan_frame(&bytes, offset) {
-                Frame::End => break,
-                Frame::Bad => {
-                    damaged = true;
-                    break;
-                }
-                Frame::Good {
-                    payload_end,
-                    payload,
-                } => {
-                    let ok = std::str::from_utf8(&payload)
-                        .ok()
-                        .and_then(|t| serde_json::from_str::<(u64, V)>(t).ok())
-                        .is_some();
-                    if !ok {
-                        damaged = true;
-                        break;
-                    }
-                    records += 1;
-                    good_end = payload_end;
-                    offset = payload_end as usize;
-                }
-            }
-        }
-        Ok(RecoveryReport {
-            records,
-            truncated_bytes: if damaged {
-                bytes.len() as u64 - good_end
-            } else {
-                0
-            },
-            repaired: damaged,
-        })
+    /// The fold of the log under `dir`, read without writing to it.
+    pub fn read(dir: impl AsRef<Path>) -> Result<(S, RecoveryReport), JournalError> {
+        let (records, report) = RecordLog::read(dir.as_ref().join(S::FILE))?;
+        Ok((fold(&records), report))
+    }
+
+    /// Appends `record` and applies it, then fsyncs. The record is applied
+    /// once it reached the file, so state and file agree even when the
+    /// fsync fails.
+    pub fn append(&mut self, record: &S::Record) -> Result<(), JournalError> {
+        self.log.append(record)?;
+        self.state.apply(record);
+        self.log.sync()
+    }
+
+    /// Rewrites the log to exactly `records` (see [`RecordLog::rewrite`])
+    /// and the state to their fold.
+    pub fn rewrite(&mut self, records: &[S::Record]) -> Result<(), JournalError> {
+        self.log.rewrite(records)?;
+        self.state = fold(records);
+        Ok(())
+    }
+}
+
+impl<S: Fold> Deref for FoldLog<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.state
+    }
+}
+
+/// The crash model every journal's tests sweep. `image` is a log file and
+/// `ends[i]` the offset where its record `i` ends. For every offset, `check`
+/// gets the image truncated there and the image with that byte flipped
+/// (past the magic), each with the number of leading records that must
+/// survive recovery.
+pub fn for_each_crash(image: &[u8], ends: &[u64], mut check: impl FnMut(&[u8], usize)) {
+    let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at as u64).count();
+    for cut in 0..=image.len() {
+        check(&image[..cut], whole_before(cut));
+    }
+    for at in MAGIC.len()..image.len() {
+        let mut flipped = image.to_vec();
+        flipped[at] ^= 0xFF;
+        check(&flipped, whole_before(at));
     }
 }
 
@@ -354,7 +353,7 @@ impl<V: Serialize + Deserialize> Journal<V> {
 mod tests {
     use super::*;
 
-    type TestJournal = Journal<Vec<f64>>;
+    type TestLog = RecordLog<(u64, Vec<f64>)>;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -372,17 +371,59 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("cache.journal");
         {
-            let (mut journal, entries, report) = TestJournal::open(&path).unwrap();
-            assert!(entries.is_empty());
+            let (mut log, records, report) = TestLog::open(&path).unwrap();
+            assert!(records.is_empty());
             assert!(!report.repaired);
-            journal.append(1, &vec![1.0, 2.0]).unwrap();
-            journal.append(2, &vec![-0.5]).unwrap();
+            log.append(&(1, vec![1.0, 2.0])).unwrap();
+            log.append(&(2, vec![-0.5])).unwrap();
         }
-        let (journal, entries, report) = TestJournal::open(&path).unwrap();
-        assert_eq!(journal.records(), 2);
+        let (log, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(log.records(), 2);
         assert!(!report.repaired);
-        assert_eq!(entries, vec![(1, vec![1.0, 2.0]), (2, vec![-0.5])]);
+        assert_eq!(records, vec![(1, vec![1.0, 2.0]), (2, vec![-0.5])]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `cache.journal` files written before the log was shared by every
+    /// journal: hand-built frames open to the same entries, and an append
+    /// produces the bytes the old writer produced.
+    #[test]
+    fn cache_journal_bytes_are_unchanged() {
+        let frame = |record: &str| {
+            let mut bytes = (record.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&bytes_hash(record.as_bytes()).to_le_bytes());
+            bytes.extend_from_slice(record.as_bytes());
+            bytes
+        };
+        let first = [MAGIC.as_slice(), &frame("[7,[1.0,2.5]]")].concat();
+        // The same two frames as written by the old cache journal (the
+        // second added below), spelled out byte for byte.
+        let expected = concat!(
+            "4e52504d4a524e31",
+            "0d0000008a3c903fe6f068c35b372c5b312e302c322e355d5d",
+            "1f00000005ffdda072d29fd75b31383434363734343037333730393535313631352c",
+            "5b2d302e3132355d5d"
+        );
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert!(expected.starts_with(&hex(&first)));
+
+        let dir = tmp_dir("format");
+        let path = dir.join("cache.journal");
+        std::fs::write(&path, &first).unwrap();
+        let (mut log, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(records, vec![(7, vec![1.0, 2.5])]);
+        assert_eq!(report, report_of(1));
+        log.append(&(u64::MAX, vec![-0.125])).unwrap();
+        drop(log);
+        assert_eq!(hex(&std::fs::read(&path).unwrap()), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn report_of(records: usize) -> RecoveryReport {
+        RecoveryReport {
+            records,
+            ..RecoveryReport::default()
+        }
     }
 
     #[test]
@@ -390,25 +431,24 @@ mod tests {
         let dir = tmp_dir("torn");
         let path = dir.join("cache.journal");
         {
-            let (mut journal, _, _) = TestJournal::open(&path).unwrap();
-            journal.append(10, &vec![1.0]).unwrap();
-            journal.append(20, &vec![2.0]).unwrap();
-            journal.append(30, &vec![3.0]).unwrap();
+            let (mut log, _, _) = TestLog::open(&path).unwrap();
+            log.append(&(10, vec![1.0])).unwrap();
+            log.append(&(20, vec![2.0])).unwrap();
+            log.append(&(30, vec![3.0])).unwrap();
         }
         // Simulate a crash mid-append: chop the last record in half.
         let full = std::fs::read(&path).unwrap();
-        let torn_len = full.len() - 7;
-        std::fs::write(&path, &full[..torn_len]).unwrap();
+        std::fs::write(&path, &full[..full.len() - 7]).unwrap();
 
-        let (journal, entries, report) = TestJournal::open(&path).unwrap();
-        assert_eq!(entries, vec![(10, vec![1.0]), (20, vec![2.0])]);
+        let (log, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(records, vec![(10, vec![1.0]), (20, vec![2.0])]);
         assert!(report.repaired);
         assert!(report.truncated_bytes > 0);
-        drop(journal);
+        drop(log);
 
         // The repair is durable: a second open sees a clean file.
-        let (_, entries, report) = TestJournal::open(&path).unwrap();
-        assert_eq!(entries.len(), 2);
+        let (_, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(records.len(), 2);
         assert!(!report.repaired);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -418,17 +458,17 @@ mod tests {
         let dir = tmp_dir("bitrot");
         let path = dir.join("cache.journal");
         {
-            let (mut journal, _, _) = TestJournal::open(&path).unwrap();
-            journal.append(1, &vec![1.0]).unwrap();
-            journal.append(2, &vec![2.0]).unwrap();
+            let (mut log, _, _) = TestLog::open(&path).unwrap();
+            log.append(&(1, vec![1.0])).unwrap();
+            log.append(&(2, vec![2.0])).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01; // flip one payload bit of the final record
         std::fs::write(&path, &bytes).unwrap();
 
-        let (_, entries, report) = TestJournal::open(&path).unwrap();
-        assert_eq!(entries, vec![(1, vec![1.0])]);
+        let (_, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(records, vec![(1, vec![1.0])]);
         assert!(report.repaired);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -438,20 +478,20 @@ mod tests {
         let dir = tmp_dir("resume");
         let path = dir.join("cache.journal");
         {
-            let (mut journal, _, _) = TestJournal::open(&path).unwrap();
-            journal.append(1, &vec![1.0]).unwrap();
-            journal.append(2, &vec![2.0]).unwrap();
+            let (mut log, _, _) = TestLog::open(&path).unwrap();
+            log.append(&(1, vec![1.0])).unwrap();
+            log.append(&(2, vec![2.0])).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
 
         {
-            let (mut journal, entries, _) = TestJournal::open(&path).unwrap();
-            assert_eq!(entries.len(), 1);
-            journal.append(3, &vec![3.0]).unwrap();
+            let (mut log, records, _) = TestLog::open(&path).unwrap();
+            assert_eq!(records.len(), 1);
+            log.append(&(3, vec![3.0])).unwrap();
         }
-        let (_, entries, report) = TestJournal::open(&path).unwrap();
-        assert_eq!(entries, vec![(1, vec![1.0]), (3, vec![3.0])]);
+        let (_, records, report) = TestLog::open(&path).unwrap();
+        assert_eq!(records, vec![(1, vec![1.0]), (3, vec![3.0])]);
         assert!(!report.repaired);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -460,20 +500,18 @@ mod tests {
     fn compaction_drops_superseded_records_atomically() {
         let dir = tmp_dir("compact");
         let path = dir.join("cache.journal");
-        let (mut journal, _, _) = TestJournal::open(&path).unwrap();
+        let (mut log, _, _) = TestLog::open(&path).unwrap();
         for i in 0..10u64 {
-            journal.append(i, &vec![i as f64]).unwrap();
+            log.append(&(i, vec![i as f64])).unwrap();
         }
-        let keep_a = vec![7.0];
-        let keep_b = vec![9.0];
-        journal.compact(&[(7, &keep_a), (9, &keep_b)]).unwrap();
-        assert_eq!(journal.records(), 2);
-        journal.append(11, &vec![11.0]).unwrap();
-        drop(journal);
+        log.rewrite(&[(7, vec![7.0]), (9, vec![9.0])]).unwrap();
+        assert_eq!(log.records(), 2);
+        log.append(&(11, vec![11.0])).unwrap();
+        drop(log);
 
-        let (_, entries, report) = TestJournal::open(&path).unwrap();
+        let (_, records, report) = TestLog::open(&path).unwrap();
         assert_eq!(
-            entries,
+            records,
             vec![(7, vec![7.0]), (9, vec![9.0]), (11, vec![11.0])]
         );
         assert!(!report.repaired);
@@ -486,10 +524,14 @@ mod tests {
         let dir = tmp_dir("magic");
         let path = dir.join("not-a-journal");
         std::fs::write(&path, b"hello world, definitely json").unwrap();
-        match TestJournal::open(&path) {
+        match TestLog::open(&path) {
             Err(JournalError::NotAJournal(_)) => {}
             other => panic!("expected NotAJournal, got {other:?}"),
         }
+        assert!(matches!(
+            TestLog::read(&path),
+            Err(JournalError::NotAJournal(_))
+        ));
         // And crucially: the impostor file was not truncated.
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -503,18 +545,18 @@ mod tests {
         let dir = tmp_dir("verify");
         let path = dir.join("cache.journal");
         {
-            let (mut journal, _, _) = TestJournal::open(&path).unwrap();
-            journal.append(1, &vec![1.0]).unwrap();
-            journal.append(2, &vec![2.0]).unwrap();
+            let (mut log, _, _) = TestLog::open(&path).unwrap();
+            log.append(&(1, vec![1.0])).unwrap();
+            log.append(&(2, vec![2.0])).unwrap();
         }
-        let clean = TestJournal::verify(&path).unwrap();
-        assert_eq!(clean.records, 2);
-        assert!(!clean.repaired);
+        let (_, clean) = TestLog::read(&path).unwrap();
+        assert_eq!(clean, report_of(2));
 
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let before = std::fs::read(&path).unwrap();
-        let damaged = TestJournal::verify(&path).unwrap();
+        let (records, damaged) = TestLog::read(&path).unwrap();
+        assert_eq!(records, vec![(1, vec![1.0])]);
         assert_eq!(damaged.records, 1);
         assert!(damaged.repaired);
         assert_eq!(
@@ -527,27 +569,33 @@ mod tests {
 
     #[test]
     fn every_truncation_point_recovers_a_prefix() {
-        // Property-style sweep: cut the file at every byte offset and check
-        // that recovery yields exactly the records whose frames fit.
+        // Cut the file at every byte offset and flip every byte past the
+        // magic: recovery must yield exactly the records before the damage,
+        // and a record appended afterwards must follow them.
         let dir = tmp_dir("sweep");
         let path = dir.join("cache.journal");
+        let record = |i: u64| (i, vec![i as f64, 0.5]);
+        let mut ends = Vec::new();
         {
-            let (mut journal, _, _) = TestJournal::open(&path).unwrap();
+            let (mut log, _, _) = TestLog::open(&path).unwrap();
             for i in 0..4u64 {
-                journal.append(i, &vec![i as f64, 0.5]).unwrap();
+                log.append(&record(i)).unwrap();
+                ends.push(std::fs::metadata(&path).unwrap().len());
             }
         }
-        let full = std::fs::read(&path).unwrap();
-        for cut in MAGIC.len()..=full.len() {
-            let case = dir.join(format!("cut-{cut}.journal"));
-            std::fs::write(&case, &full[..cut]).unwrap();
-            let (_, entries, _) = TestJournal::open(&case).unwrap();
-            for (i, (key, value)) in entries.iter().enumerate() {
-                assert_eq!(*key, i as u64);
-                assert_eq!(value, &vec![i as f64, 0.5]);
-            }
-            assert!(entries.len() <= 4);
-        }
+        let image = std::fs::read(&path).unwrap();
+        let case = dir.join("case.journal");
+        for_each_crash(&image, &ends, |damaged, survivors| {
+            std::fs::write(&case, damaged).unwrap();
+            let expected: Vec<_> = (0..survivors as u64).map(record).collect();
+            let (mut log, records, _) = TestLog::open(&case).unwrap();
+            assert_eq!(records, expected);
+            log.append(&record(99)).unwrap();
+            drop(log);
+            let (_, records, report) = TestLog::open(&case).unwrap();
+            assert_eq!(records, [expected, vec![record(99)]].concat());
+            assert!(!report.repaired);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,10 +7,14 @@
 //!
 //! * [`lru`] — a sharded in-memory LRU keyed by the canonical fingerprints
 //!   of [`nrpm_core::fingerprint`], with hit/miss/eviction counters;
-//! * [`journal`] — an append-only, checksummed on-disk record log with
-//!   torn-tail crash recovery and atomic-rename compaction;
-//! * [`cache`] — the two combined: [`cache::ResultCache`] memoizes
-//!   `fingerprint → outcome` across restarts;
+//! * [`journal`] — the workspace's one crash-safe record log
+//!   ([`RecordLog`]): append-only, checksummed frames, torn-tail recovery
+//!   and atomic-rename rewrite, plus [`FoldLog`], which keeps the state its
+//!   records fold to and fsyncs every append;
+//! * [`cache`] — the LRU over a [`RecordLog`]: [`cache::ResultCache`]
+//!   memoizes `fingerprint → outcome` across restarts;
+//! * [`swap`] and [`rollout`] — the hot-swap and fleet-rollout journals,
+//!   each a record type plus a fold over a [`FoldLog`];
 //! * [`checkpoints`] — a content-addressed store of trained networks with
 //!   named refs (`default`, `best`), `verify`, and `gc`;
 //! * [`singleflight`] — request deduplication so N concurrent identical
@@ -45,7 +49,7 @@ pub mod swap;
 pub use accept::{accept_until, stop_and_wake, Connections};
 pub use cache::{CacheStats, ResultCache};
 pub use checkpoints::{hex16, parse_hex16, CheckpointRegistry, RegistryError, VerifyOutcome};
-pub use journal::{Journal, JournalError, RecoveryReport};
+pub use journal::{Fold, FoldLog, JournalError, RecordLog, RecoveryReport};
 pub use lru::{LruStats, ShardedLru};
 pub use singleflight::{Joined, SingleFlight};
-pub use swap::{SwapJournal, SwapPhase, SwapRecord, SwapRecovery};
+pub use swap::{SwapHistory, SwapJournal, SwapPhase, SwapRecord};

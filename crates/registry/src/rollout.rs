@@ -5,8 +5,8 @@
 //! target checkpoint into its registry, hot-swap, health-verify, readmit —
 //! and a crash anywhere in that walk must not strand the fleet serving a
 //! mix of epochs: replicated reads would then disagree forever. This
-//! journal records the walk with the same append-only, checksummed-line
-//! machinery as the swap journal ([`crate::swap`]):
+//! journal records the walk as fsynced records in `rollouts.log`, a
+//! [`FoldLog`] like the swap journal ([`crate::swap`]):
 //!
 //! ```text
 //! begin    rollout to target T is starting (incumbent I still serves)
@@ -15,28 +15,24 @@
 //! aborted  the rollout was called off
 //! ```
 //!
-//! Each record is one line — `payload TAB fnv16-checksum` — appended and
-//! fsynced; a crash leaves at worst one torn trailing line, truncated by
-//! [`RolloutJournal::open`]. Recovery is a fold over the survivors: a
-//! `begin` without `done`/`aborted` is a [`PendingRollout`], carrying
-//! exactly which shards already landed on the target — the cluster
-//! launcher completes such a rollout by distributing the *target* (not the
-//! operator's stale `--model` argument) to every shard, restoring a
-//! single-epoch fleet before any request is routed.
+//! In the [`RolloutHistory`] that survives a crash, a `begin` without
+//! `done`/`aborted` is a [`PendingRollout`] carrying the shards that
+//! already landed. The cluster launcher completes it by distributing the
+//! *target* (not the operator's stale `--model` argument) to every shard
+//! before any request is routed.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
-use crate::checkpoints::{hex16, parse_hex16};
-use nrpm_core::fingerprint::bytes_hash;
+use serde::{Deserialize, Serialize};
+
+use crate::checkpoints::hex16;
+use crate::journal::{refused, Fold, FoldLog, JournalError};
 
 /// File name of the rollout journal inside a registry directory.
 pub const ROLLOUT_JOURNAL_FILE: &str = "rollouts.log";
 
 /// The step a rollout record announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RolloutPhase {
     /// A rollout to `target` is starting.
     Begin,
@@ -48,30 +44,9 @@ pub enum RolloutPhase {
     Aborted,
 }
 
-impl RolloutPhase {
-    fn as_str(self) -> &'static str {
-        match self {
-            RolloutPhase::Begin => "begin",
-            RolloutPhase::Shard => "shard",
-            RolloutPhase::Done => "done",
-            RolloutPhase::Aborted => "aborted",
-        }
-    }
-
-    fn parse(s: &str) -> Option<RolloutPhase> {
-        Some(match s {
-            "begin" => RolloutPhase::Begin,
-            "shard" => RolloutPhase::Shard,
-            "done" => RolloutPhase::Done,
-            "aborted" => RolloutPhase::Aborted,
-            _ => return None,
-        })
-    }
-}
-
 /// One journal record. Every phase repeats the rollout's target and
 /// incumbent hashes, so any prefix of the journal tells the full story.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RolloutRecord {
     /// Sequence number tying the records of one rollout together.
     pub seq: u64,
@@ -84,38 +59,6 @@ pub struct RolloutRecord {
     /// For [`RolloutPhase::Shard`]: the shard that landed on the target.
     /// Zero (and meaningless) for the other phases.
     pub shard: u32,
-}
-
-impl RolloutRecord {
-    fn payload(&self) -> String {
-        format!(
-            "{} {} {} {} {}",
-            self.seq,
-            self.phase.as_str(),
-            hex16(self.target),
-            hex16(self.incumbent),
-            self.shard
-        )
-    }
-
-    fn parse_payload(payload: &str) -> Option<RolloutRecord> {
-        let mut parts = payload.split(' ');
-        let seq = parts.next()?.parse().ok()?;
-        let phase = RolloutPhase::parse(parts.next()?)?;
-        let target = parse_hex16(parts.next()?)?;
-        let incumbent = parse_hex16(parts.next()?)?;
-        let shard = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(RolloutRecord {
-            seq,
-            phase,
-            target,
-            incumbent,
-            shard,
-        })
-    }
 }
 
 /// A rollout that began but neither finished nor aborted — what a crash
@@ -132,177 +75,47 @@ pub struct PendingRollout {
     pub done: Vec<u32>,
 }
 
-/// What [`RolloutJournal::open`] found and repaired.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RolloutRecovery {
-    /// Intact records read back.
-    pub records: usize,
-    /// Bytes truncated off a torn tail (0 for a clean journal).
-    pub truncated_bytes: u64,
-}
-
-/// The append-only rollout journal. See the [module docs](self).
-#[derive(Debug)]
-pub struct RolloutJournal {
-    path: PathBuf,
+/// The rollout journal's state: every record, oldest first, and the next
+/// unused sequence number.
+#[derive(Debug, Default)]
+pub struct RolloutHistory {
     records: Vec<RolloutRecord>,
     next_seq: u64,
 }
 
-impl RolloutJournal {
-    /// Opens (creating if absent) the journal under registry root `dir`,
-    /// truncating any torn trailing line a crash left behind.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(RolloutJournal, RolloutRecovery)> {
-        let path = dir.as_ref().join(ROLLOUT_JOURNAL_FILE);
-        std::fs::create_dir_all(dir.as_ref())?;
-        let mut records = Vec::new();
-        let mut recovery = RolloutRecovery::default();
-        if path.exists() {
-            let mut text = String::new();
-            File::open(&path)?.read_to_string(&mut text)?;
-            let mut good_bytes = 0usize;
-            for line in text.split_inclusive('\n') {
-                let complete = line.ends_with('\n');
-                match (complete, parse_line(line.trim_end_matches('\n'))) {
-                    (true, Some(record)) => {
-                        records.push(record);
-                        good_bytes += line.len();
-                    }
-                    // Appends are ordered: nothing behind a torn or corrupt
-                    // record can be trusted.
-                    _ => break,
-                }
-            }
-            let total = text.len() as u64;
-            if (good_bytes as u64) < total {
-                recovery.truncated_bytes = total - good_bytes as u64;
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(good_bytes as u64)?;
-                file.sync_data()?;
-            }
-        }
-        recovery.records = records.len();
-        let next_seq = records.iter().map(|r| r.seq + 1).max().unwrap_or(0);
-        Ok((
-            RolloutJournal {
-                path,
-                records,
-                next_seq,
-            },
-            recovery,
-        ))
-    }
+impl Fold for RolloutHistory {
+    const FILE: &'static str = ROLLOUT_JOURNAL_FILE;
+    type Record = RolloutRecord;
 
-    fn append(&mut self, record: RolloutRecord) -> std::io::Result<()> {
-        let payload = record.payload();
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
-        self.records.push(record);
-        Ok(())
+    fn apply(&mut self, record: &RolloutRecord) {
+        self.next_seq = self.next_seq.max(record.seq + 1);
+        self.records.push(*record);
     }
+}
 
-    fn base(&self, seq: u64) -> std::io::Result<RolloutRecord> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.seq == seq)
-            .copied()
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("rollout journal: unknown rollout seq {seq}"),
-                )
-            })
-    }
-
-    /// Declares a rollout from `incumbent` to `target`. Returns its
-    /// sequence number. At most one rollout may be pending at a time.
-    pub fn begin(&mut self, target: u64, incumbent: u64) -> std::io::Result<u64> {
-        if let Some(pending) = self.pending() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "rollout journal: rollout {} to {} is still pending",
-                    pending.seq,
-                    hex16(pending.target)
-                ),
-            ));
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.append(RolloutRecord {
-            seq,
-            phase: RolloutPhase::Begin,
-            target,
-            incumbent,
-            shard: 0,
-        })?;
-        Ok(seq)
-    }
-
-    /// Records that `shard` now serves rollout `seq`'s target (synced,
-    /// swapped, and verified over the wire).
-    pub fn record_shard(&mut self, seq: u64, shard: u32) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Shard,
-            shard,
-            ..base
-        })
-    }
-
-    /// Records that every shard serves rollout `seq`'s target.
-    pub fn finish(&mut self, seq: u64) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Done,
-            shard: 0,
-            ..base
-        })
-    }
-
-    /// Calls rollout `seq` off.
-    pub fn abort(&mut self, seq: u64) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Aborted,
-            shard: 0,
-            ..base
-        })
-    }
-
+impl RolloutHistory {
     /// The rollout a crash interrupted, if any: begun, some shards
     /// possibly landed, no terminal record.
     pub fn pending(&self) -> Option<PendingRollout> {
         let mut pending: Option<PendingRollout> = None;
         for record in &self.records {
+            if record.phase == RolloutPhase::Begin {
+                pending = Some(PendingRollout {
+                    seq: record.seq,
+                    target: record.target,
+                    incumbent: record.incumbent,
+                    done: Vec::new(),
+                });
+            }
+            let Some(open) = pending.as_mut().filter(|p| p.seq == record.seq) else {
+                continue;
+            };
             match record.phase {
-                RolloutPhase::Begin => {
-                    pending = Some(PendingRollout {
-                        seq: record.seq,
-                        target: record.target,
-                        incumbent: record.incumbent,
-                        done: Vec::new(),
-                    });
+                RolloutPhase::Shard if !open.done.contains(&record.shard) => {
+                    open.done.push(record.shard)
                 }
-                RolloutPhase::Shard => {
-                    if let Some(p) = pending.as_mut() {
-                        if p.seq == record.seq && !p.done.contains(&record.shard) {
-                            p.done.push(record.shard);
-                        }
-                    }
-                }
-                RolloutPhase::Done | RolloutPhase::Aborted => {
-                    if pending.as_ref().is_some_and(|p| p.seq == record.seq) {
-                        pending = None;
-                    }
-                }
+                RolloutPhase::Done | RolloutPhase::Aborted => pending = None,
+                _ => {}
             }
         }
         pending
@@ -337,17 +150,67 @@ impl RolloutJournal {
     }
 }
 
-fn parse_line(line: &str) -> Option<RolloutRecord> {
-    let (payload, check) = line.rsplit_once('\t')?;
-    if parse_hex16(check)? != bytes_hash(payload.as_bytes()) {
-        return None;
+/// The rollout journal: a [`FoldLog`] over [`RolloutHistory`] in `rollouts.log`. It
+/// dereferences to the history for queries; the methods below append.
+/// See the [module docs](self).
+pub type RolloutJournal = FoldLog<RolloutHistory>;
+
+impl FoldLog<RolloutHistory> {
+    /// Appends `phase` (for `shard`) to rollout `seq`.
+    fn advance(&mut self, seq: u64, phase: RolloutPhase, shard: u32) -> Result<(), JournalError> {
+        let base = self.records.iter().rev().find(|r| r.seq == seq).copied();
+        let base =
+            base.ok_or_else(|| refused(format!("rollout journal: unknown rollout seq {seq}")))?;
+        self.append(&RolloutRecord {
+            phase,
+            shard,
+            ..base
+        })
     }
-    RolloutRecord::parse_payload(payload)
+
+    /// Declares a rollout from `incumbent` to `target`. Returns its
+    /// sequence number. At most one rollout may be pending at a time.
+    pub fn begin(&mut self, target: u64, incumbent: u64) -> Result<u64, JournalError> {
+        if let Some(pending) = self.pending() {
+            return Err(refused(format!(
+                "rollout journal: rollout {} to {} is still pending",
+                pending.seq,
+                hex16(pending.target)
+            )));
+        }
+        let seq = self.next_seq;
+        self.append(&RolloutRecord {
+            seq,
+            phase: RolloutPhase::Begin,
+            target,
+            incumbent,
+            shard: 0,
+        })?;
+        Ok(seq)
+    }
+
+    /// Records that `shard` now serves rollout `seq`'s target (synced,
+    /// swapped, and verified over the wire).
+    pub fn record_shard(&mut self, seq: u64, shard: u32) -> Result<(), JournalError> {
+        self.advance(seq, RolloutPhase::Shard, shard)
+    }
+
+    /// Records that every shard serves rollout `seq`'s target.
+    pub fn finish(&mut self, seq: u64) -> Result<(), JournalError> {
+        self.advance(seq, RolloutPhase::Done, 0)
+    }
+
+    /// Calls rollout `seq` off.
+    pub fn abort(&mut self, seq: u64) -> Result<(), JournalError> {
+        self.advance(seq, RolloutPhase::Aborted, 0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{for_each_crash, RecoveryReport};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -363,7 +226,7 @@ mod tests {
     fn full_walk_completes_and_survives_reopen() {
         let dir = tmp_dir("walk");
         let (mut journal, recovery) = RolloutJournal::open(&dir).unwrap();
-        assert_eq!(recovery, RolloutRecovery::default());
+        assert_eq!(recovery, RecoveryReport::default());
 
         let seq = journal.begin(0xA1B2, 0xBB).unwrap();
         journal.record_shard(seq, 0).unwrap();
@@ -416,14 +279,15 @@ mod tests {
         journal.finish(seq).unwrap();
         drop(journal);
 
+        // Half a frame: a crash mid-append.
         let path = dir.join(ROLLOUT_JOURNAL_FILE);
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(b"1 begin deadbeef").unwrap();
-        drop(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[60, 0, 0, 0, 1, 2, 3]);
+        std::fs::write(&path, &bytes).unwrap();
 
         let (journal, recovery) = RolloutJournal::open(&dir).unwrap();
         assert_eq!(recovery.records, 2);
-        assert!(recovery.truncated_bytes > 0);
+        assert_eq!(recovery.truncated_bytes, 7);
         assert_eq!(journal.completed_hash(), Some(0xAA));
 
         let (_, recovery) = RolloutJournal::open(&dir).unwrap();
@@ -443,6 +307,7 @@ mod tests {
         assert!(live.contains(&0x2), "completed target");
         assert!(live.contains(&0x3), "pending target");
         assert_eq!(live.len(), 2, "pending incumbent == completed target");
+        assert_eq!(RolloutJournal::read(&dir).unwrap().0.live_hashes(), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -452,6 +317,73 @@ mod tests {
         let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
         assert!(journal.record_shard(7, 0).is_err());
         assert!(journal.finish(7).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    type View = (Option<PendingRollout>, Option<u64>, Vec<u64>);
+
+    fn view(history: &RolloutHistory) -> View {
+        let mut live: Vec<u64> = history.live_hashes().into_iter().collect();
+        live.sort_unstable();
+        (history.pending(), history.completed_hash(), live)
+    }
+
+    /// Truncation at every offset and a flipped byte at every offset
+    /// recover the state of the records before the damage, and the journal
+    /// goes on from there.
+    #[test]
+    fn every_crash_point_recovers_the_fold_of_a_prefix() {
+        let dir = tmp_dir("crash");
+        let file_len = || {
+            std::fs::metadata(dir.join(ROLLOUT_JOURNAL_FILE))
+                .unwrap()
+                .len()
+        };
+        let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
+        let steps: [fn(&mut RolloutJournal); 5] = [
+            |j| assert_eq!(j.begin(0xA, 0x1).unwrap(), 0),
+            |j| j.record_shard(0, 0).unwrap(),
+            |j| j.record_shard(0, 1).unwrap(),
+            |j| j.finish(0).unwrap(),
+            |j| assert_eq!(j.begin(0xB, 0xA).unwrap(), 1),
+        ];
+        let mut views = vec![view(&journal)];
+        let mut ends = Vec::new();
+        for step in steps {
+            step(&mut journal);
+            ends.push(file_len());
+            views.push(view(&journal));
+        }
+        drop(journal);
+        let image = std::fs::read(dir.join(ROLLOUT_JOURNAL_FILE)).unwrap();
+
+        let case = dir.join("case");
+        std::fs::create_dir_all(&case).unwrap();
+        // The state a crash image recovers to, and the state after one more
+        // record is appended to it and the journal reopened.
+        let recover_and_append = |bytes: &[u8]| {
+            std::fs::write(case.join(ROLLOUT_JOURNAL_FILE), bytes).unwrap();
+            let (mut journal, _) = RolloutJournal::open(&case).unwrap();
+            let recovered = view(&journal);
+            match journal.pending() {
+                Some(pending) => journal.record_shard(pending.seq, 7).unwrap(),
+                None => {
+                    journal.begin(0xC, 0xD).unwrap();
+                }
+            }
+            drop(journal);
+            (recovered, view(&RolloutJournal::open(&case).unwrap().0))
+        };
+        let appended: Vec<View> = [0]
+            .iter()
+            .chain(&ends)
+            .map(|&end| recover_and_append(&image[..end as usize]).1)
+            .collect();
+        for_each_crash(&image, &ends, |damaged, survivors| {
+            let (recovered, after) = recover_and_append(damaged);
+            assert_eq!(recovered, views[survivors]);
+            assert_eq!(after, appended[survivors]);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

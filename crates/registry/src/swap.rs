@@ -4,7 +4,8 @@
 //! A swap that simply overwrote a "current checkpoint" pointer could be
 //! torn by a crash into a state nobody intended: the candidate half-live,
 //! the incumbent half-forgotten, the rollback target collected by GC. This
-//! journal makes every swap a sequence of appended, checksummed records:
+//! journal makes every swap a sequence of fsynced records in `swaps.log`
+//! (a [`FoldLog`], see [`crate::journal`]):
 //!
 //! ```text
 //! intent     candidate X wants to replace incumbent Y
@@ -14,34 +15,25 @@
 //! rolled_back the post-swap watchdog reverted from X back to Y
 //! ```
 //!
-//! Each record is one line — `payload TAB fnv16-checksum` — appended and
-//! fsynced, so a crash leaves at worst one torn trailing line, which
-//! [`SwapJournal::open`] truncates away. Recovery is then a pure fold over
-//! the surviving records: the serving checkpoint is the candidate of the
-//! last `committed`/`rolled_back` record, and any swap still pending
-//! (`intent`/`validated` without a terminal record) is resolved by
-//! [`SwapJournal::recover_pending`], which aborts it — a half-finished swap
-//! must never win over the last committed state.
-//!
-//! The journal also feeds garbage collection: [`SwapJournal::live_hashes`]
-//! is the pin set (serving checkpoint, rollback target, and every hash a
-//! pending swap references) that
-//! [`CheckpointRegistry::gc_with_pins`](crate::checkpoints::CheckpointRegistry::gc_with_pins)
-//! must not collect.
+//! The state is the [`SwapHistory`] of the records that survived recovery.
+//! The serving checkpoint is the candidate of the last
+//! `committed`/`rolled_back` record; a swap still pending (`intent` or
+//! `validated`, no terminal record) is aborted by
+//! [`SwapJournal::recover_pending`], so a half-finished swap never wins
+//! over the last committed state. [`SwapHistory::live_hashes`] is the pin
+//! set `registry gc` must not collect.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
-use crate::checkpoints::{hex16, parse_hex16};
-use nrpm_core::fingerprint::bytes_hash;
+use serde::{Deserialize, Serialize};
+
+use crate::journal::{refused, Fold, FoldLog, JournalError};
 
 /// File name of the swap journal inside a registry directory.
 pub const SWAP_JOURNAL_FILE: &str = "swaps.log";
 
 /// The phase a swap record announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SwapPhase {
     /// A candidate wants to replace the incumbent.
     Intent,
@@ -57,33 +49,10 @@ pub enum SwapPhase {
     RolledBack,
 }
 
-impl SwapPhase {
-    fn as_str(self) -> &'static str {
-        match self {
-            SwapPhase::Intent => "intent",
-            SwapPhase::Validated => "validated",
-            SwapPhase::Committed => "committed",
-            SwapPhase::Aborted => "aborted",
-            SwapPhase::RolledBack => "rolled_back",
-        }
-    }
-
-    fn parse(s: &str) -> Option<SwapPhase> {
-        Some(match s {
-            "intent" => SwapPhase::Intent,
-            "validated" => SwapPhase::Validated,
-            "committed" => SwapPhase::Committed,
-            "aborted" => SwapPhase::Aborted,
-            "rolled_back" => SwapPhase::RolledBack,
-            _ => return None,
-        })
-    }
-}
-
 /// One journal record. Records are self-contained — every phase repeats
 /// the swap's candidate and incumbent hashes, so any prefix of the journal
 /// tells the full story without joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwapRecord {
     /// Sequence number tying the phases of one swap together.
     pub seq: u64,
@@ -97,183 +66,25 @@ pub struct SwapRecord {
     pub incumbent: u64,
 }
 
-impl SwapRecord {
-    fn payload(&self) -> String {
-        format!(
-            "{} {} {} {}",
-            self.seq,
-            self.phase.as_str(),
-            hex16(self.candidate),
-            hex16(self.incumbent)
-        )
-    }
-
-    fn parse_payload(payload: &str) -> Option<SwapRecord> {
-        let mut parts = payload.split(' ');
-        let seq = parts.next()?.parse().ok()?;
-        let phase = SwapPhase::parse(parts.next()?)?;
-        let candidate = parse_hex16(parts.next()?)?;
-        let incumbent = parse_hex16(parts.next()?)?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(SwapRecord {
-            seq,
-            phase,
-            candidate,
-            incumbent,
-        })
-    }
-}
-
-/// What [`SwapJournal::open`] found and repaired.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SwapRecovery {
-    /// Intact records read back.
-    pub records: usize,
-    /// Bytes truncated off a torn tail (0 for a clean journal).
-    pub truncated_bytes: u64,
-}
-
-/// The append-only swap journal. See the [module docs](self).
-#[derive(Debug)]
-pub struct SwapJournal {
-    path: PathBuf,
+/// The swap journal's state: every record, oldest first, and the next
+/// unused sequence number.
+#[derive(Debug, Default)]
+pub struct SwapHistory {
     records: Vec<SwapRecord>,
     next_seq: u64,
 }
 
-impl SwapJournal {
-    /// Opens (creating if absent) the journal under registry root `dir`,
-    /// truncating any torn trailing line a crash left behind.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(SwapJournal, SwapRecovery)> {
-        let path = dir.as_ref().join(SWAP_JOURNAL_FILE);
-        std::fs::create_dir_all(dir.as_ref())?;
-        let mut records = Vec::new();
-        let mut recovery = SwapRecovery::default();
-        if path.exists() {
-            let mut text = String::new();
-            File::open(&path)?.read_to_string(&mut text)?;
-            let mut good_bytes = 0usize;
-            for line in text.split_inclusive('\n') {
-                let complete = line.ends_with('\n');
-                match (complete, parse_line(line.trim_end_matches('\n'))) {
-                    (true, Some(record)) => {
-                        records.push(record);
-                        good_bytes += line.len();
-                    }
-                    // A torn or corrupt line invalidates everything after
-                    // it — appends are ordered, so nothing behind a bad
-                    // record can be trusted.
-                    _ => break,
-                }
-            }
-            let total = text.len() as u64;
-            if (good_bytes as u64) < total {
-                recovery.truncated_bytes = total - good_bytes as u64;
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(good_bytes as u64)?;
-                file.sync_data()?;
-            }
-        }
-        recovery.records = records.len();
-        let next_seq = records.iter().map(|r| r.seq + 1).max().unwrap_or(0);
-        Ok((
-            SwapJournal {
-                path,
-                records,
-                next_seq,
-            },
-            recovery,
-        ))
-    }
+impl Fold for SwapHistory {
+    const FILE: &'static str = SWAP_JOURNAL_FILE;
+    type Record = SwapRecord;
 
-    fn append(&mut self, record: SwapRecord) -> std::io::Result<()> {
-        let payload = record.payload();
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
-        self.records.push(record);
-        Ok(())
+    fn apply(&mut self, record: &SwapRecord) {
+        self.next_seq = self.next_seq.max(record.seq + 1);
+        self.records.push(*record);
     }
+}
 
-    /// Phase one: declares the intent to swap `candidate` in for
-    /// `incumbent`. Returns the swap's sequence number.
-    pub fn begin(&mut self, candidate: u64, incumbent: u64) -> std::io::Result<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.append(SwapRecord {
-            seq,
-            phase: SwapPhase::Intent,
-            candidate,
-            incumbent,
-        })?;
-        Ok(seq)
-    }
-
-    fn advance(&mut self, seq: u64, phase: SwapPhase) -> std::io::Result<()> {
-        let base = self
-            .records
-            .iter()
-            .rev()
-            .find(|r| r.seq == seq)
-            .copied()
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("swap journal: unknown swap seq {seq}"),
-                )
-            })?;
-        self.append(SwapRecord { phase, ..base })
-    }
-
-    /// Phase two: records that `seq`'s candidate passed shadow validation.
-    pub fn mark_validated(&mut self, seq: u64) -> std::io::Result<()> {
-        self.advance(seq, SwapPhase::Validated)
-    }
-
-    /// Phase three: records that `seq`'s candidate is now serving.
-    pub fn commit(&mut self, seq: u64) -> std::io::Result<()> {
-        self.advance(seq, SwapPhase::Committed)
-    }
-
-    /// Calls swap `seq` off (gate rejection, crash recovery).
-    pub fn abort(&mut self, seq: u64) -> std::io::Result<()> {
-        self.advance(seq, SwapPhase::Aborted)
-    }
-
-    /// Records the watchdog reverting from `from` back to `to`. The
-    /// rollback is itself a committed transition, so after it
-    /// [`Self::committed_hash`] is `to` and [`Self::previous_hash`] is
-    /// `from`.
-    pub fn record_rollback(&mut self, to: u64, from: u64) -> std::io::Result<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.append(SwapRecord {
-            seq,
-            phase: SwapPhase::RolledBack,
-            candidate: to,
-            incumbent: from,
-        })?;
-        Ok(seq)
-    }
-
-    /// Aborts every swap whose latest record is non-terminal — the crash
-    /// recovery step: a half-finished swap resolves to "never happened".
-    /// Returns how many were aborted.
-    pub fn recover_pending(&mut self) -> std::io::Result<usize> {
-        let pending: Vec<u64> = self.pending().iter().map(|r| r.seq).collect();
-        for seq in &pending {
-            self.advance(*seq, SwapPhase::Aborted)?;
-        }
-        Ok(pending.len())
-    }
-
+impl SwapHistory {
     /// Every swap whose latest record is `intent` or `validated`: declared
     /// but neither committed nor called off (e.g. a crash mid-swap).
     pub fn pending(&self) -> Vec<SwapRecord> {
@@ -290,25 +101,24 @@ impl SwapJournal {
             .collect()
     }
 
-    /// The serving checkpoint according to the journal: the candidate of
-    /// the last `committed` or `rolled_back` record. `None` before the
-    /// first commit.
-    pub fn committed_hash(&self) -> Option<u64> {
+    fn last_transition(&self) -> Option<&SwapRecord> {
         self.records
             .iter()
             .rev()
             .find(|r| matches!(r.phase, SwapPhase::Committed | SwapPhase::RolledBack))
-            .map(|r| r.candidate)
+    }
+
+    /// The serving checkpoint according to the journal: the candidate of
+    /// the last `committed` or `rolled_back` record. `None` before the
+    /// first commit.
+    pub fn committed_hash(&self) -> Option<u64> {
+        self.last_transition().map(|r| r.candidate)
     }
 
     /// The rollback target: the incumbent of the last `committed` or
     /// `rolled_back` record.
     pub fn previous_hash(&self) -> Option<u64> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| matches!(r.phase, SwapPhase::Committed | SwapPhase::RolledBack))
-            .map(|r| r.incumbent)
+        self.last_transition().map(|r| r.incumbent)
     }
 
     /// The pin set for garbage collection: the serving checkpoint, the
@@ -332,17 +142,75 @@ impl SwapJournal {
     }
 }
 
-fn parse_line(line: &str) -> Option<SwapRecord> {
-    let (payload, check) = line.rsplit_once('\t')?;
-    if parse_hex16(check)? != bytes_hash(payload.as_bytes()) {
-        return None;
+/// The swap journal: a [`FoldLog`] over [`SwapHistory`] in `swaps.log`. It
+/// dereferences to the history for queries; the methods below append.
+/// See the [module docs](self).
+pub type SwapJournal = FoldLog<SwapHistory>;
+
+impl FoldLog<SwapHistory> {
+    fn start(&mut self, phase: SwapPhase, to: u64, from: u64) -> Result<u64, JournalError> {
+        let seq = self.next_seq;
+        self.append(&SwapRecord {
+            seq,
+            phase,
+            candidate: to,
+            incumbent: from,
+        })?;
+        Ok(seq)
     }
-    SwapRecord::parse_payload(payload)
+
+    fn advance(&mut self, seq: u64, phase: SwapPhase) -> Result<(), JournalError> {
+        let base = self.records.iter().rev().find(|r| r.seq == seq).copied();
+        let base = base.ok_or_else(|| refused(format!("swap journal: unknown swap seq {seq}")))?;
+        self.append(&SwapRecord { phase, ..base })
+    }
+
+    /// Phase one: declares the intent to swap `candidate` in for
+    /// `incumbent`. Returns the swap's sequence number.
+    pub fn begin(&mut self, candidate: u64, incumbent: u64) -> Result<u64, JournalError> {
+        self.start(SwapPhase::Intent, candidate, incumbent)
+    }
+
+    /// Phase two: records that `seq`'s candidate passed shadow validation.
+    pub fn mark_validated(&mut self, seq: u64) -> Result<(), JournalError> {
+        self.advance(seq, SwapPhase::Validated)
+    }
+
+    /// Phase three: records that `seq`'s candidate is now serving.
+    pub fn commit(&mut self, seq: u64) -> Result<(), JournalError> {
+        self.advance(seq, SwapPhase::Committed)
+    }
+
+    /// Calls swap `seq` off (gate rejection, crash recovery).
+    pub fn abort(&mut self, seq: u64) -> Result<(), JournalError> {
+        self.advance(seq, SwapPhase::Aborted)
+    }
+
+    /// Records the watchdog reverting from `from` back to `to`. The
+    /// rollback is itself a committed transition, so after it
+    /// [`SwapHistory::committed_hash`] is `to` and
+    /// [`SwapHistory::previous_hash`] is `from`.
+    pub fn record_rollback(&mut self, to: u64, from: u64) -> Result<u64, JournalError> {
+        self.start(SwapPhase::RolledBack, to, from)
+    }
+
+    /// Aborts every swap whose latest record is non-terminal — the crash
+    /// recovery step: a half-finished swap resolves to "never happened".
+    /// Returns how many were aborted.
+    pub fn recover_pending(&mut self) -> Result<usize, JournalError> {
+        let pending = self.pending();
+        for record in &pending {
+            self.abort(record.seq)?;
+        }
+        Ok(pending.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{for_each_crash, RecoveryReport};
+    use std::path::{Path, PathBuf};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -354,11 +222,17 @@ mod tests {
         dir
     }
 
+    fn file_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join(SWAP_JOURNAL_FILE))
+            .unwrap()
+            .len()
+    }
+
     #[test]
     fn full_two_phase_swap_commits() {
         let dir = tmp_dir("commit");
         let (mut journal, recovery) = SwapJournal::open(&dir).unwrap();
-        assert_eq!(recovery, SwapRecovery::default());
+        assert_eq!(recovery, RecoveryReport::default());
         assert_eq!(journal.committed_hash(), None);
 
         let seq = journal.begin(0xA, 0xB).unwrap();
@@ -410,18 +284,19 @@ mod tests {
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let seq = journal.begin(0xAA, 0xBB).unwrap();
         journal.commit(seq).unwrap();
+        journal.begin(0xCC, 0xAA).unwrap();
         drop(journal);
 
-        // Simulate a crash mid-append: half a line, no newline.
+        // Simulate a crash mid-append: the third record loses its end.
         let path = dir.join(SWAP_JOURNAL_FILE);
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(b"2 intent deadbeef").unwrap();
-        drop(file);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
 
         let (journal, recovery) = SwapJournal::open(&dir).unwrap();
         assert_eq!(recovery.records, 2);
         assert!(recovery.truncated_bytes > 0);
         assert_eq!(journal.committed_hash(), Some(0xAA));
+        assert!(journal.pending().is_empty());
 
         // The truncation is durable: a second open finds a clean file.
         let (_, recovery) = SwapJournal::open(&dir).unwrap();
@@ -435,17 +310,15 @@ mod tests {
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let a = journal.begin(0x1, 0x0).unwrap();
         journal.commit(a).unwrap();
+        let third = file_len(&dir) as usize;
         let b = journal.begin(0x2, 0x1).unwrap();
         journal.commit(b).unwrap();
         drop(journal);
 
-        // Flip a byte inside the third record (b's intent).
+        // Flip a payload byte inside the third record (b's intent).
         let path = dir.join(SWAP_JOURNAL_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let offset: usize = lines[..2].iter().map(|l| l.len() + 1).sum();
-        let mut bytes = text.into_bytes();
-        bytes[offset] ^= 0x01;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[third + 14] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
         let (journal, recovery) = SwapJournal::open(&dir).unwrap();
@@ -453,6 +326,25 @@ mod tests {
         assert!(recovery.truncated_bytes > 0);
         // Only the first swap survives.
         assert_eq!(journal.committed_hash(), Some(0x1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_line_format_journal_is_refused_untouched() {
+        let dir = tmp_dir("lines");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SWAP_JOURNAL_FILE);
+        let old = b"0 intent 000000000000000a 000000000000000b\t1f2e3d4c5b6a7988\n";
+        std::fs::write(&path, old).unwrap();
+        assert!(matches!(
+            SwapJournal::open(&dir),
+            Err(JournalError::NotAJournal(_))
+        ));
+        assert!(matches!(
+            SwapJournal::read(&dir).map(|_| ()),
+            Err(JournalError::NotAJournal(_))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -487,6 +379,7 @@ mod tests {
         assert!(live.contains(&0x1), "rollback target");
         assert!(live.contains(&0x3), "pending candidate");
         assert_eq!(live.len(), 3);
+        assert_eq!(SwapJournal::read(&dir).unwrap().0.live_hashes(), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -507,6 +400,68 @@ mod tests {
         let dir = tmp_dir("unknown");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         assert!(journal.commit(7).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    type View = (Option<u64>, Option<u64>, Vec<SwapRecord>, Vec<u64>);
+
+    fn view(history: &SwapHistory) -> View {
+        let mut live: Vec<u64> = history.live_hashes().into_iter().collect();
+        live.sort_unstable();
+        (
+            history.committed_hash(),
+            history.previous_hash(),
+            history.pending(),
+            live,
+        )
+    }
+
+    /// Truncation at every offset and a flipped byte at every offset
+    /// recover the state of the records before the damage, and the journal
+    /// goes on from there.
+    #[test]
+    fn every_crash_point_recovers_the_fold_of_a_prefix() {
+        let dir = tmp_dir("crash");
+        let (mut journal, _) = SwapJournal::open(&dir).unwrap();
+        let steps: [fn(&mut SwapJournal); 5] = [
+            |j| assert_eq!(j.begin(0xA, 0x1).unwrap(), 0),
+            |j| j.mark_validated(0).unwrap(),
+            |j| j.commit(0).unwrap(),
+            |j| assert_eq!(j.begin(0xB, 0xA).unwrap(), 1), // stays pending
+            |j| assert_eq!(j.record_rollback(0x1, 0xA).unwrap(), 2),
+        ];
+        let mut views = vec![view(&journal)];
+        let mut ends = Vec::new();
+        for step in steps {
+            step(&mut journal);
+            ends.push(file_len(&dir));
+            views.push(view(&journal));
+        }
+        drop(journal);
+        let image = std::fs::read(dir.join(SWAP_JOURNAL_FILE)).unwrap();
+
+        let case = dir.join("case");
+        std::fs::create_dir_all(&case).unwrap();
+        // The state a crash image recovers to, and the state after one more
+        // record is appended to it and the journal reopened.
+        let recover_and_append = |bytes: &[u8]| {
+            std::fs::write(case.join(SWAP_JOURNAL_FILE), bytes).unwrap();
+            let (mut journal, _) = SwapJournal::open(&case).unwrap();
+            let recovered = view(&journal);
+            journal.begin(0xC, 0xD).unwrap();
+            drop(journal);
+            (recovered, view(&SwapJournal::open(&case).unwrap().0))
+        };
+        let appended: Vec<View> = [0]
+            .iter()
+            .chain(&ends)
+            .map(|&end| recover_and_append(&image[..end as usize]).1)
+            .collect();
+        for_each_crash(&image, &ends, |damaged, survivors| {
+            let (recovered, after) = recover_and_append(damaged);
+            assert_eq!(recovered, views[survivors]);
+            assert_eq!(after, appended[survivors]);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
